@@ -81,14 +81,17 @@ def post_call(host, port, path, call: CallEnvelope, timeout: float = DEFAULT_TIM
     status, data = _http_request(host, port, "POST", path, body, timeout)
     if status != 200:
         raise NetworkError(f"POST {host}:{port}{path} returned HTTP {status}")
-    return decode_reply(data.decode("utf-8"))
+    return decode_reply(data)
 
 
 def http_get(host, port, path, timeout: float = DEFAULT_TIMEOUT) -> str:
     status, data = _http_request(host, port, "GET", path, None, timeout)
     if status != 200:
         raise NetworkError(f"GET {host}:{port}{path} returned HTTP {status}")
-    return data.decode("utf-8")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise BadEnvelopeError(f"body is not valid UTF-8: {exc}") from None
 
 
 class Proxy:
@@ -105,7 +108,40 @@ class Proxy:
         self.iface = iface
 
     def invoke(self, method: str, args=(), opts: CallOptions | None = None):
-        return proxy_invoke(self._node, self, method, list(args), opts or DEFAULT_OPTIONS)
+        """Marshal, send, and materialize one remote invocation."""
+        args = list(args)
+        opts = opts or DEFAULT_OPTIONS
+        sig = self.iface.method(method)
+        if sig is None:
+            raise UnknownMethodError(f"{self.iface.name} has no method {method!r}")
+        if len(args) != len(sig.params):
+            raise TypeMismatchError(
+                f"{self.iface.name}.{method} takes {len(sig.params)} args, got {len(args)}"
+            )
+        wire_args = [
+            self._node.marshal_outbound(
+                arg,
+                sig.params[i],
+                iface_name=self.iface.name,
+                method_name=method,
+                position=ParamPos(i),
+                override=opts.override,
+            )
+            for i, arg in enumerate(args)
+        ]
+        reply = post_call(
+            self.ior.host,
+            self.ior.port,
+            f"/obj/{self.ior.object_number}",
+            CallEnvelope(method, wire_args),
+            opts.timeout,
+        )
+        if reply.fault is not None:
+            raise fault_error(reply.fault.code, reply.fault.message)
+        mismatches = type_check(reply.result, sig.returns, self._node.env)
+        if mismatches:
+            raise TypeMismatchError("result: " + "; ".join(mismatches))
+        return materialize(self._node, reply.result, sig.returns)
 
     def __getattr__(self, name):
         # Only reached for names not set in __init__.
@@ -119,41 +155,6 @@ class Proxy:
     def __repr__(self):
         ior = self.ior
         return f"<Proxy {ior.interface_name} @ {ior.host}:{ior.port}/obj/{ior.object_number}>"
-
-
-def proxy_invoke(node, proxy: Proxy, method: str, args: list, opts: CallOptions):
-    """Marshal, send, and materialize one remote invocation."""
-    sig = proxy.iface.method(method)
-    if sig is None:
-        raise UnknownMethodError(f"{proxy.iface.name} has no method {method!r}")
-    if len(args) != len(sig.params):
-        raise TypeMismatchError(
-            f"{proxy.iface.name}.{method} takes {len(sig.params)} args, got {len(args)}"
-        )
-    wire_args = [
-        node.marshal_outbound(
-            arg,
-            sig.params[i],
-            iface_name=proxy.iface.name,
-            method_name=method,
-            position=ParamPos(i),
-            override=opts.override,
-        )
-        for i, arg in enumerate(args)
-    ]
-    reply = post_call(
-        proxy.ior.host,
-        proxy.ior.port,
-        f"/obj/{proxy.ior.object_number}",
-        CallEnvelope(method, wire_args),
-        opts.timeout,
-    )
-    if reply.fault is not None:
-        raise fault_error(reply.fault.code, reply.fault.message)
-    mismatches = type_check(reply.result, sig.returns, node.env)
-    if mismatches:
-        raise TypeMismatchError("result: " + "; ".join(mismatches))
-    return materialize(node, reply.result, sig.returns)
 
 
 def materialize(node, v: Value, declared: TypeRef | None = None):

@@ -34,23 +34,16 @@ from .values import (
 class ComponentHandle:
     """A live instance plus its descriptor, skeleton, and snapshot capability.
 
-    ``identity`` defaults to the instance's in-memory identity, so wrapping
-    the same instance twice yields handles the object table will coalesce.
+    ``identity`` is the instance's in-memory identity, so wrapping the same
+    instance twice yields handles the object table will coalesce.
     Invocations are serialized on ``lock`` unless the handle is marked
     reentrant.
     """
 
-    def __init__(
-        self,
-        instance,
-        descriptor: ClassDescriptor,
-        *,
-        reentrant: bool = False,
-        identity: int | None = None,
-    ):
+    def __init__(self, instance, descriptor: ClassDescriptor, *, reentrant: bool = False):
         self.instance = instance
         self.class_descriptor = descriptor
-        self.identity = id(instance) if identity is None else identity
+        self.identity = id(instance)
         self.reentrant = reentrant
         self.lock = threading.RLock()
         self._dispatch = {}

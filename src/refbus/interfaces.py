@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .values import (
-    InterfaceType,
     ListOf,
     Prim,
     RecordType,
@@ -57,12 +56,10 @@ class InterfaceDescriptor:
         _check_unique_methods(name, methods)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "methods", methods)
+        object.__setattr__(self, "_by_name", {m.name: m for m in methods})
 
     def method(self, name: str) -> MethodSig | None:
-        for m in self.methods:
-            if m.name == name:
-                return m
-        return None
+        return self._by_name.get(name)
 
 
 @dataclass(frozen=True)
@@ -90,12 +87,6 @@ class ClassDescriptor:
         object.__setattr__(self, "state_fields", fields)
         object.__setattr__(self, "methods", methods)
 
-    def method(self, name: str) -> MethodSig | None:
-        for m in self.methods:
-            if m.name == name:
-                return m
-        return None
-
 
 def check_compat(cls: ClassDescriptor, iface: InterfaceDescriptor) -> list[MethodSig]:
     """Interface methods the class cannot stand behind; empty means compatible.
@@ -122,19 +113,19 @@ class ClosureViolation:
         )
 
 
-def check_closure(
-    iface: InterfaceDescriptor, env: TypeEnvironment
-) -> list[ClosureViolation]:
-    """Enforce the interface-only signature rule, recursively.
+def _walk_closure(iface: InterfaceDescriptor, env: TypeEnvironment):
+    """Walk every type reachable from an interface's signatures, once.
 
-    Walks every type reachable from the interface's signatures, descending
-    through list elements, record fields, and referenced interfaces. A name
-    that resolves to a class (or does not resolve at all) is a violation.
-    Interface cycles terminate via the visited set.
+    Descends through list elements, record fields, and referenced
+    interfaces, entering each record and interface at most once, so
+    interface cycles (back to the root too) terminate. Returns the records
+    and the non-root interfaces reached, plus the interface-only rule
+    violations met: a name that resolves to a class, or does not resolve
+    to the kind of type it is used as.
     """
+    records: dict[str, tuple[tuple[str, TypeRef], ...]] = {}
+    interfaces: dict[str, InterfaceDescriptor] = {iface.name: iface}
     violations: list[ClosureViolation] = []
-    seen_interfaces: set[str] = set()
-    seen_records: set[str] = set()
 
     def walk_type(t: TypeRef, owner: str, method: str, position: str):
         if isinstance(t, Prim):
@@ -149,17 +140,19 @@ def check_closure(
             )
             return
         if isinstance(t, RecordType):
+            if name in records:
+                return
             declared = env.records.get(name)
             if declared is None:
                 violations.append(
                     ClosureViolation(owner, method, position, name, "does not resolve")
                 )
                 return
-            if name in seen_records:
-                return
-            seen_records.add(name)
+            records[name] = declared
             for fname, ftype in declared:
                 walk_type(ftype, owner, method, f"{position} -> record {name} field {fname}")
+            return
+        if name in interfaces:
             return
         target = env.interfaces.get(name)
         if target is None:
@@ -167,19 +160,30 @@ def check_closure(
                 ClosureViolation(owner, method, position, name, "does not resolve")
             )
             return
+        interfaces[name] = target
         walk_interface(target)
 
     def walk_interface(descriptor: InterfaceDescriptor):
-        if descriptor.name in seen_interfaces:
-            return
-        seen_interfaces.add(descriptor.name)
         for m in descriptor.methods:
             for i, p in enumerate(m.params):
                 walk_type(p, descriptor.name, m.name, f"param {i}")
             walk_type(m.returns, descriptor.name, m.name, "return")
 
     walk_interface(iface)
-    return violations
+    del interfaces[iface.name]
+    return records, interfaces, violations
+
+
+def check_closure(
+    iface: InterfaceDescriptor, env: TypeEnvironment
+) -> list[ClosureViolation]:
+    """Enforce the interface-only signature rule, recursively.
+
+    Every type reachable from the interface's signatures must be a
+    primitive, list, record, or interface; a name that resolves to a class
+    (or does not resolve at all) is a violation.
+    """
+    return _walk_closure(iface, env)[2]
 
 
 def typeref_doc(t: TypeRef):
@@ -206,42 +210,12 @@ def describe(iface: InterfaceDescriptor, env: TypeEnvironment) -> str:
 
     Contains the interface's methods plus the transitive closure of record
     and interface definitions its signatures reference. The root interface
-    appears once, at the top; cycles back to it are collapsed. Requires a
-    closure-clean interface (run check_closure first).
+    appears once, at the top; cycles back to it are collapsed. Raises
+    LookupError for an interface that check_closure rejects.
     """
-    records: dict[str, tuple[tuple[str, TypeRef], ...]] = {}
-    interfaces: dict[str, InterfaceDescriptor] = {}
-
-    def collect_type(t: TypeRef):
-        if isinstance(t, ListOf):
-            collect_type(t.elem)
-            return
-        if isinstance(t, RecordType):
-            if t.name in records:
-                return
-            declared = env.records.get(t.name)
-            if declared is None:
-                raise LookupError(f"record type {t.name!r} is not defined")
-            records[t.name] = declared
-            for _, ftype in declared:
-                collect_type(ftype)
-            return
-        if isinstance(t, InterfaceType):
-            if t.name == iface.name or t.name in interfaces:
-                return
-            target = env.interfaces.get(t.name)
-            if target is None:
-                raise LookupError(f"interface {t.name!r} is not defined")
-            interfaces[t.name] = target
-            collect_interface(target)
-
-    def collect_interface(descriptor: InterfaceDescriptor):
-        for m in descriptor.methods:
-            for p in m.params:
-                collect_type(p)
-            collect_type(m.returns)
-
-    collect_interface(iface)
+    records, interfaces, violations = _walk_closure(iface, env)
+    if violations:
+        raise LookupError("; ".join(str(v) for v in violations))
 
     doc = {
         "interface": iface.name,

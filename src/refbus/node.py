@@ -24,7 +24,6 @@ import argparse
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable
 from urllib.parse import parse_qs
 
 from . import client as _client
@@ -82,20 +81,13 @@ class Node:
     stamped into exported references is fixed once the server is bound.
     """
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        env: TypeEnvironment | None = None,
-        policies: PolicyStore | None = None,
-    ):
-        self.env = env if env is not None else TypeEnvironment()
-        self.policies = policies if policies is not None else PolicyStore()
+    def __init__(self, host: str = "127.0.0.1", port: int = 0):
+        self.env = TypeEnvironment()
+        self.policies = PolicyStore()
         self.table = ObjectTable()
         self.proxies = ProxyTable()
         self._classes: dict[type, ClassDescriptor] = {}
-        self._constructors: dict[str, Callable] = {}
+        self._constructors: dict[str, type] = {}
         self._host = host
         self._port = port
         self._server: ThreadingHTTPServer | None = None
@@ -110,25 +102,21 @@ class Node:
     def register_interface(self, descriptor: InterfaceDescriptor):
         self.env.add_interface(descriptor)
 
-    def register_class(self, py_class: type, descriptor: ClassDescriptor, *, constructor=True):
+    def register_class(
+        self, py_class: type, descriptor: ClassDescriptor, *, constructor: bool = True
+    ):
         """Register a component class.
 
         ``constructor`` controls by-value reception of records bearing this
-        class's name: True builds instances positionally from the state
-        fields, a callable is used as given, None/False disables
-        reconstruction.
+        class's name: True builds instances of ``py_class`` positionally
+        from the state fields, False delivers such records as they are.
         """
         self.env.add_class(descriptor)
         self._classes[py_class] = descriptor
-        if constructor is True:
+        if constructor:
             self._constructors[descriptor.name] = py_class
-        elif callable(constructor):
-            self._constructors[descriptor.name] = constructor
 
-    def register_constructor(self, type_name: str, factory: Callable):
-        self._constructors[type_name] = factory
-
-    def constructor_for(self, type_name: str) -> Callable | None:
+    def constructor_for(self, type_name: str) -> type | None:
         return self._constructors.get(type_name)
 
     def class_descriptor_for(self, instance) -> ClassDescriptor | None:
@@ -229,7 +217,12 @@ class Node:
         return descriptor, handle
 
     def deploy(self, iface, component, name: str) -> str:
-        """Expose a component under a name; returns its endpoint URL."""
+        """Expose a component under a name; returns its endpoint URL.
+
+        Naming a component that deploy_anonymous already exported keeps its
+        object number, so the named and numbered endpoints stay one
+        deployment.
+        """
         descriptor, handle = self._prepare(iface, component)
         dep = self.table.add(handle, descriptor)
         self.table.bind_name(name, dep)
@@ -239,20 +232,6 @@ class Node:
         """Expose a component without a name; returns its remote reference."""
         descriptor, handle = self._prepare(iface, component)
         return self.table.export(handle, descriptor, self._host, self._port)
-
-    def export_ref(self, component, iface) -> Ior:
-        return self.deploy_anonymous(iface, component)
-
-    def bind_name(self, name: str, component, iface) -> str:
-        """Give a (possibly already deployed) component a name; returns the URL.
-
-        Binding the deployment an anonymous export created keeps its object
-        number, so the named and numbered endpoints stay one deployment.
-        """
-        descriptor, handle = self._prepare(iface, component)
-        dep = self.table.add(handle, descriptor)
-        self.table.bind_name(name, dep)
-        return self.url(name)
 
     # ------------------------------------------------------------------
     # client half
@@ -267,9 +246,6 @@ class Node:
 
     def get_component_by_name(self, name, host, port, timeout=_client.DEFAULT_TIMEOUT):
         return _client.get_component_by_name(self, name, host, port, timeout)
-
-    def materialize(self, v: Value, declared: TypeRef | None = None):
-        return _client.materialize(self, v, declared)
 
     # ------------------------------------------------------------------
     # marshaling
@@ -409,10 +385,15 @@ class Node:
         return 400, '{"error":"unsupported HTTP method"}'
 
     def _route(self, segments: list[str]) -> Deployment | None:
-        if len(segments) == 2 and segments[0] == "obj" and segments[1].isdigit():
+        if len(segments) == 2 and segments[0] == "obj":
+            number = segments[1]
+            # str.isdigit alone also accepts digits int() rejects ("²") or
+            # reads as ASCII ones ("١").
+            if not (number.isascii() and number.isdigit()):
+                return None
             try:
-                return self.table.resolve(int(segments[1]))
-            except RefbusError:
+                return self.table.resolve(int(number))
+            except (RefbusError, ValueError):  # ValueError: past int's digit limit
                 return None
         if len(segments) == 1:
             return self.table.lookup_name(segments[0])
@@ -507,6 +488,20 @@ class Node:
 def _make_handler(node: Node):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # Buffer each response so headers and body leave in one write; the
+        # request loop flushes after every request. Written separately, the
+        # body waited under Nagle's algorithm for the client's delayed ACK
+        # of the headers, about 40 ms per keep-alive reply. A body larger
+        # than the buffer still takes two writes, which TCP_NODELAY sends
+        # without that wait.
+        wbufsize = -1
+        disable_nagle_algorithm = True
+
+        def handle_expect_100(self):
+            # "100 Continue" must reach the client before it sends the body.
+            ok = super().handle_expect_100()
+            self.wfile.flush()
+            return ok
 
         def log_message(self, format, *args):
             pass

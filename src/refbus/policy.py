@@ -107,14 +107,6 @@ class PolicyStore:
         with self._lock:
             self._returns[(iface_name, method_name)] = policy
 
-    def set_system_default(self, policy: TransmissionPolicy):
-        with self._lock:
-            self._default = policy
-
-    @property
-    def system_default(self) -> TransmissionPolicy:
-        return self._default
-
     def resolve(
         self,
         position: Position,

@@ -43,7 +43,6 @@ class ObjectTable:
         self._by_number: dict[int, Deployment] = {}
         self._by_key: dict[tuple[int, str], Deployment] = {}
         self._handles: dict[int, ComponentHandle] = {}
-        self._order: list[Deployment] = []
         self._next_number = 0
 
     def add(self, component: ComponentHandle, iface: InterfaceDescriptor) -> Deployment:
@@ -59,7 +58,6 @@ class ObjectTable:
             if dep is None:
                 dep = Deployment(handle, iface)
                 self._by_key[key] = dep
-                self._order.append(dep)
             return dep
 
     def ensure_number(self, dep: Deployment) -> int:
@@ -100,19 +98,7 @@ class ObjectTable:
     def deployments(self) -> list[Deployment]:
         """Snapshot in creation order."""
         with self._lock:
-            return list(self._order)
-
-
-@dataclass(frozen=True)
-class ProxyKey:
-    host: str
-    port: int
-    object_number: int
-    interface_name: str
-
-    @classmethod
-    def from_ior(cls, ior: Ior) -> "ProxyKey":
-        return cls(ior.host, ior.port, ior.object_number, ior.interface_name)
+            return list(self._by_key.values())
 
 
 class ProxyTable:
@@ -120,13 +106,12 @@ class ProxyTable:
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._proxies: dict[ProxyKey, object] = {}
+        self._proxies: dict[Ior, object] = {}
 
     def intern(self, ior: Ior, factory):
-        key = ProxyKey.from_ior(ior)
         with self._lock:
-            proxy = self._proxies.get(key)
+            proxy = self._proxies.get(ior)
             if proxy is None:
                 proxy = factory(ior)
-                self._proxies[key] = proxy
+                self._proxies[ior] = proxy
             return proxy

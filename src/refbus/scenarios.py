@@ -91,12 +91,7 @@ STUDENT_CLASS = ClassDescriptor(
 PERSON_CLASS = ClassDescriptor(
     "Person",
     state_fields=[("name", Prim.STR), ("age", Prim.I64)],
-    methods=[
-        MethodSig("getSpouse", (), InterfaceType("IPerson")),
-        MethodSig("setSpouse", (InterfaceType("IPerson"),), Prim.NULL),
-        MethodSig("getAge", (), Prim.I64),
-        MethodSig("incrementAge", (), Prim.NULL),
-    ],
+    methods=IPERSON.methods,
 )
 
 

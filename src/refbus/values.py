@@ -253,10 +253,6 @@ def type_check(v: Value, t: TypeRef, env: TypeEnvironment) -> list[str]:
     return mismatches
 
 
-def conforms(v: Value, t: TypeRef, env: TypeEnvironment) -> bool:
-    return not type_check(v, t, env)
-
-
 def _mismatch(out: list[str], path: str, t: TypeRef, v: Value, note: str = ""):
     suffix = f" ({note})" if note else ""
     out.append(f"{path}: expected {typeref_name(t)}, got {value_tag(v)}{suffix}")

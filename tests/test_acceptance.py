@@ -39,7 +39,7 @@ from refbus import (
     encode_value,
     value_equals,
 )
-from refbus.client import http_get, post_call
+from refbus.client import http_get, materialize, post_call
 from refbus.inspector import (
     EXIT_FAULT,
     EXIT_NETWORK,
@@ -252,8 +252,8 @@ def test_criterion_06_reference_identity(make_node):
 
         # two receipts of one Ior at B intern to one proxy
         ior = node_a.deploy_anonymous("IPerson", Person("jane", 40))
-        first = node_b.materialize(VRef(ior))
-        second = node_b.materialize(VRef(ior))
+        first = materialize(node_b, VRef(ior))
+        second = materialize(node_b, VRef(ior))
         assert first is second
 
 

@@ -10,6 +10,8 @@ import pytest
 from refbus import (
     BY_REFERENCE,
     BY_VALUE,
+    BadEnvelopeError,
+    CallEnvelope,
     CallOptions,
     CallOverride,
     CallTimeout,
@@ -34,6 +36,7 @@ from refbus import (
     VStr,
     value_equals,
 )
+from refbus.client import http_get, materialize, post_call
 from refbus.scenarios import Person, Student, register_demo_types
 
 IHOLDER = InterfaceDescriptor(
@@ -126,6 +129,43 @@ def test_get_component_by_name_network_error():
         probe.stop()
 
 
+def test_non_utf8_reply_body_is_bad_envelope():
+    """A 200 reply whose body is not UTF-8 raises BadEnvelopeError, from
+    post_call and http_get alike, never a bare UnicodeDecodeError."""
+    import threading
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    class Stub(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+
+        def log_message(self, format, *args):
+            pass
+
+        def _reply(self):
+            self.rfile.read(int(self.headers.get("Content-Length", "0")))
+            self.send_response(200)
+            self.send_header("Content-Length", "1")
+            self.end_headers()
+            self.wfile.write(b"\xff")
+
+        do_GET = do_POST = _reply
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Stub)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        port = server.server_port
+        with pytest.raises(BadEnvelopeError):
+            post_call("127.0.0.1", port, "/x", CallEnvelope("m"), timeout=5)
+        with pytest.raises(BadEnvelopeError):
+            http_get("127.0.0.1", port, "/x?wsdl", timeout=5)
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
 # ---------------------------------------------------------------------------
 # proxy invocation
 
@@ -192,35 +232,35 @@ def test_materialize_loopback_reference_preserves_identity(make_node):
     node = make_node()
     john = Person("john", 35)
     ior = node.deploy_anonymous("IPerson", john)
-    assert node.materialize(VRef(ior), InterfaceType("IPerson")) is john
+    assert materialize(node, VRef(ior), InterfaceType("IPerson")) is john
 
 
 def test_materialize_loopback_unknown_object(make_node):
     node = make_node()
     ior = Ior(node.host, node.port, 404, "IPerson")
     with pytest.raises(UnknownServiceError):
-        node.materialize(VRef(ior))
+        materialize(node, VRef(ior))
 
 
 def test_materialize_foreign_reference_is_a_proxy(make_node):
     node = make_node()
     ior = Ior("elsewhere.example", 9999, 0, "IPerson")
-    proxy = node.materialize(VRef(ior))
+    proxy = materialize(node, VRef(ior))
     assert isinstance(proxy, Proxy)
-    assert node.materialize(VRef(ior)) is proxy
+    assert materialize(node, VRef(ior)) is proxy
 
 
 def test_materialize_unknown_interface(make_node):
     node = make_node(demo=False)
     ior = Ior("elsewhere.example", 9999, 0, "IPerson")
     with pytest.raises(UnknownInterfaceError):
-        node.materialize(VRef(ior))
+        materialize(node, VRef(ior))
 
 
 def test_materialize_record_with_constructor(make_node):
     node = make_node()
     record = VRecord("Person", [("name", VStr("John Brown")), ("age", VInt(35))])
-    person = node.materialize(record, InterfaceType("IPerson"))
+    person = materialize(node, record, InterfaceType("IPerson"))
     assert isinstance(person, Person)
     assert (person.name, person.age) == ("John Brown", 35)
 
@@ -228,14 +268,14 @@ def test_materialize_record_with_constructor(make_node):
 def test_materialize_record_without_constructor_stays_a_record(make_node):
     node = make_node()
     record = VRecord("Mystery", [("x", VInt(1))])
-    out = node.materialize(record)
+    out = materialize(node, record)
     assert value_equals(out, record)
 
 
 def test_materialize_nested_list(make_node):
     node = make_node()
     wire = VList([VInt(1), VList([VStr("a")]), VRecord("Person", [("name", VStr("n")), ("age", VInt(1))])])
-    out = node.materialize(wire)
+    out = materialize(node, wire)
     assert out[0] == 1
     assert out[1] == ["a"]
     assert isinstance(out[2], Person)

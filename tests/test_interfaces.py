@@ -186,8 +186,9 @@ def test_exhaustive_small_type_graphs_match_reachability_oracle():
                 env.add_class(ClassDescriptor(name))
 
         # independent oracle: walk the name graph, looking for any reachable
-        # class or name that does not resolve to its referenced kind
-        def oracle_accepts() -> bool:
+        # class or name that does not resolve to its referenced kind; returns
+        # whether the graph is accepted and the names it reached
+        def oracle() -> tuple[bool, set[str]]:
             seen = set()
             stack = [names[0]]
             while stack:
@@ -203,16 +204,28 @@ def test_exhaustive_small_type_graphs_match_reachability_oracle():
                     target = t.name
                     kind = kinds.get(target)
                     if kind is None or kind == "class":
-                        return False
+                        return False, seen
                     if isinstance(t, RecordType) and kind != "record":
-                        return False
+                        return False, seen
                     if isinstance(t, InterfaceType) and kind != "interface":
-                        return False
+                        return False, seen
                     stack.append(target)
-            return True
+            return True, seen
 
+        accepts, reached = oracle()
         violations = check_closure(env.interfaces[names[0]], env)
-        assert (violations == []) == oracle_accepts(), (structure, kinds, violations)
+        assert (violations == []) == accepts, (structure, kinds, violations)
+
+        # describe shares the walk: it fails exactly on rejected graphs and
+        # otherwise lists every reached record and non-root interface
+        if not accepts:
+            with pytest.raises(LookupError):
+                describe(env.interfaces[names[0]], env)
+            continue
+        doc = json.loads(describe(env.interfaces[names[0]], env))
+        expected = reached - {names[0]}
+        assert set(doc["records"]) == {n for n in expected if kinds[n] == "record"}
+        assert set(doc["interfaces"]) == {n for n in expected if kinds[n] == "interface"}
 
 
 # ---------------------------------------------------------------------------

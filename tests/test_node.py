@@ -31,7 +31,9 @@ from refbus import (
     VRecord,
     VRef,
     VStr,
+    decode_reply,
     describe,
+    encode_call,
     value_equals,
 )
 from refbus.client import http_get, post_call
@@ -113,7 +115,7 @@ def test_anonymous_deployment_can_be_named_later(make_node):
     node = make_node()
     john = Person("john", 35)
     ior = node.deploy_anonymous("IPerson", john)
-    node.bind_name("john", john, "IPerson")
+    node.deploy("IPerson", john, "john")
     assert _call(node, "/john", "getAge").result == VInt(35)
     # still the same deployment, same object number
     assert _call(node, "/john", "__resolve").result.ior == ior
@@ -179,6 +181,16 @@ def test_unknown_path_faults_unknown_service(bob_node):
     assert reply.fault.code is FaultCode.UNKNOWN_SERVICE
     reply = _call(bob_node, "/a/b/c", "getName")
     assert reply.fault.code is FaultCode.UNKNOWN_SERVICE
+    # Object numbers are ASCII decimal only. http.client cannot send these
+    # paths, so they go to handle_request directly; objects 0 and 1 exist,
+    # so "/obj/١" (an Arabic-Indic one) must not alias "/obj/1".
+    bob_node.deploy_anonymous("INamedEntity", Student("a", 1))
+    bob_node.deploy_anonymous("INamedEntity", Student("b", 2))
+    body = encode_call(CallEnvelope("getName")).encode("utf-8")
+    for path in ["/obj/\u00b2", "/obj/" + "1" * 5000, "/obj/\u0661"]:
+        status, text = bob_node.handle_request("POST", path, "", body)
+        assert status == 200
+        assert decode_reply(text).fault.code is FaultCode.UNKNOWN_SERVICE, path
 
 
 def test_wrong_arity_faults_type_mismatch(bob_node):
@@ -255,6 +267,45 @@ def test_get_without_wsdl_is_404(bob_node):
         assert conn.getresponse().status == 404
     finally:
         conn.close()
+
+
+def test_keep_alive_calls_do_not_stall(bob_node):
+    import http.client
+
+    # At about 44 ms per reply, when headers and body left in separate
+    # writes, these 200 calls took about 8.8 s.
+    body = encode_call(CallEnvelope("getName")).encode("utf-8")
+    conn = http.client.HTTPConnection(bob_node.host, bob_node.port, timeout=5)
+    try:
+        start = time.perf_counter()
+        for _ in range(200):
+            conn.request("POST", "/bob", body=body, headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            assert decode_reply(response.read()).result == VStr("Bobby Jones")
+        elapsed = time.perf_counter() - start
+    finally:
+        conn.close()
+    assert elapsed < 2.0, f"200 keep-alive calls took {elapsed:.2f} s"
+
+
+def test_expect_100_continue_is_answered_before_the_body(bob_node):
+    import socket
+
+    body = encode_call(CallEnvelope("getName")).encode("utf-8")
+    with socket.create_connection((bob_node.host, bob_node.port), timeout=5) as sock:
+        sock.sendall(
+            b"POST /bob HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body)
+        )
+        assert sock.recv(64).startswith(b"HTTP/1.1 100 ")
+        sock.sendall(body)
+        reply = b""
+        while not reply.endswith(b"}}"):
+            chunk = sock.recv(4096)
+            assert chunk, reply
+            reply += chunk
+    assert reply.split(b"\r\n")[0] == b"HTTP/1.1 200 OK"
+    assert decode_reply(reply.partition(b"\r\n\r\n")[2]).result == VStr("Bobby Jones")
 
 
 def test_unsupported_http_method(bob_node):

@@ -16,7 +16,6 @@ from refbus import (
     ProxyTable,
     UnknownServiceError,
 )
-from refbus.registry import ProxyKey
 from refbus.scenarios import (
     IMATRICULATED,
     INAMED_ENTITY,
@@ -204,9 +203,13 @@ def test_intern_distinguishes_every_key_field():
 
 
 def test_proxy_key_equality_is_fieldwise():
-    a = ProxyKey.from_ior(Ior("h", 80, 3, "I"))
-    b = ProxyKey.from_ior(Ior("h", 80, 3, "I"))
+    # ProxyTable keys on the Ior itself
+    a = Ior("h", 80, 3, "I")
+    b = Ior("h", 80, 3, "I")
+    assert a is not b
     assert a == b and hash(a) == hash(b)
+    proxies = ProxyTable()
+    assert proxies.intern(a, lambda i: object()) is proxies.intern(b, lambda i: object())
 
 
 def test_concurrent_intern_single_winner():
