@@ -27,17 +27,12 @@ from .errors import (
 from .interfaces import InterfaceDescriptor
 from .policy import CallOverride, ParamPos
 from .values import (
-    ListOf,
-    TypeRef,
+    SCALAR_TAG_BY_CLASS,
     Value,
-    VBool,
-    VFloat,
-    VInt,
     VList,
     VNull,
     VRecord,
     VRef,
-    VStr,
     type_check,
 )
 from .wire import CallEnvelope, ReplyEnvelope, decode_reply, encode_call
@@ -141,7 +136,7 @@ class Proxy:
         mismatches = type_check(reply.result, sig.returns, self._node.env)
         if mismatches:
             raise TypeMismatchError("result: " + "; ".join(mismatches))
-        return materialize(self._node, reply.result, sig.returns)
+        return materialize(self._node, reply.result)
 
     def __getattr__(self, name):
         # Only reached for names not set in __init__.
@@ -157,22 +152,21 @@ class Proxy:
         return f"<Proxy {ior.interface_name} @ {ior.host}:{ior.port}/obj/{ior.object_number}>"
 
 
-def materialize(node, v: Value, declared: TypeRef | None = None):
-    """Turn a wire value into its local form.
+def materialize(node, v: Value):
+    """Turn a wire value into its local form, directed by its tags alone.
 
     References pointing at this node resolve to the original instance
     (unproxying); other references intern to a proxy. Records reconstruct a
     fresh component when a constructor is registered for their type name,
-    otherwise they are delivered as-is. The declared type only steers list
-    recursion; everything else is tag-directed.
+    otherwise they are delivered as-is; type_check first ensures they hold
+    that class's state fields in order.
     """
     if isinstance(v, VNull):
         return None
-    if isinstance(v, (VBool, VInt, VFloat, VStr)):
+    if type(v) in SCALAR_TAG_BY_CLASS:
         return v.value
     if isinstance(v, VList):
-        elem = declared.elem if isinstance(declared, ListOf) else None
-        return [materialize(node, item, elem) for item in v.items]
+        return [materialize(node, item) for item in v.items]
     if isinstance(v, VRecord):
         constructor = node.constructor_for(v.type_name)
         if constructor is None:

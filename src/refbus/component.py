@@ -21,12 +21,9 @@ from .values import (
     RecordType,
     TypeRef,
     Value,
-    VBool,
-    VFloat,
-    VInt,
     VList,
     VRecord,
-    VStr,
+    python_scalar,
     typeref_name,
 )
 
@@ -82,14 +79,12 @@ def _state_value(raw, declared: TypeRef, class_name: str, field_name: str) -> Va
     if raw is None:
         return NULL
     if isinstance(declared, Prim):
-        if declared is Prim.BOOL and isinstance(raw, bool):
-            return VBool(raw)
-        if declared is Prim.I64 and isinstance(raw, int) and not isinstance(raw, bool):
-            return VInt(raw)
-        if declared is Prim.F64 and isinstance(raw, float):
-            return VFloat(raw)
-        if declared is Prim.STR and isinstance(raw, str):
-            return VStr(raw)
+        scalar = python_scalar(raw)
+        if scalar is not None and scalar[0] is declared:
+            try:
+                return scalar[1](raw)
+            except ValueError as exc:
+                raise InternalFaultError(f"cannot snapshot {where}: {exc}") from None
     elif isinstance(declared, ListOf):
         if isinstance(raw, (list, tuple)):
             return VList(

@@ -57,14 +57,10 @@ from .values import (
     TypeEnvironment,
     TypeRef,
     Value,
-    VBool,
-    VFloat,
-    VInt,
     VList,
-    VNull,
     VRecord,
     VRef,
-    VStr,
+    python_scalar,
     type_check,
     typeref_name,
 )
@@ -229,8 +225,19 @@ class Node:
         return self.url(name)
 
     def deploy_anonymous(self, iface, component) -> Ior:
-        """Expose a component without a name; returns its remote reference."""
-        descriptor, handle = self._prepare(iface, component)
+        """Expose a component without a name; returns its remote reference.
+
+        An (instance, interface) pair already deployed is exported again
+        without repeating the deploy-time checks.
+        """
+        self._require_started()
+        identity = component.identity if isinstance(component, ComponentHandle) else id(component)
+        iface_name = iface.name if isinstance(iface, InterfaceDescriptor) else iface
+        dep = self.table.lookup(identity, iface_name)
+        if dep is None:
+            descriptor, handle = self._prepare(iface, component)
+        else:
+            descriptor, handle = dep.iface, dep.component
         return self.table.export(handle, descriptor, self._host, self._port)
 
     # ------------------------------------------------------------------
@@ -272,22 +279,17 @@ class Node:
             if declared is Prim.NULL or isinstance(declared, (InterfaceType, RecordType)):
                 return NULL
             raise TypeMismatchError(f"None does not fit {typeref_name(declared)}")
-        if isinstance(value, bool):
-            if declared is Prim.BOOL:
-                return VBool(value)
-            raise TypeMismatchError(f"bool does not fit {typeref_name(declared)}")
-        if isinstance(value, int):
-            if declared is Prim.I64:
-                return VInt(value)
-            raise TypeMismatchError(f"int does not fit {typeref_name(declared)}")
-        if isinstance(value, float):
-            if declared is Prim.F64:
-                return VFloat(value)
-            raise TypeMismatchError(f"float does not fit {typeref_name(declared)}")
-        if isinstance(value, str):
-            if declared is Prim.STR:
-                return VStr(value)
-            raise TypeMismatchError(f"str does not fit {typeref_name(declared)}")
+        scalar = python_scalar(value)
+        if scalar is not None:
+            prim, value_class = scalar
+            if declared is not prim:
+                raise TypeMismatchError(
+                    f"{type(value).__name__} does not fit {typeref_name(declared)}"
+                )
+            try:
+                return value_class(value)
+            except ValueError as exc:
+                raise TypeMismatchError(str(exc)) from None
         if isinstance(value, (list, tuple)):
             if not isinstance(declared, ListOf):
                 raise TypeMismatchError(f"list does not fit {typeref_name(declared)}")
@@ -302,7 +304,7 @@ class Node:
                 )
                 for item in value
             )
-        if isinstance(value, (VNull, VBool, VInt, VFloat, VStr, VList, VRecord, VRef)):
+        if isinstance(value, Value):
             mismatches = type_check(value, declared, self.env)
             if mismatches:
                 raise TypeMismatchError("; ".join(mismatches))
@@ -388,8 +390,11 @@ class Node:
         if len(segments) == 2 and segments[0] == "obj":
             number = segments[1]
             # str.isdigit alone also accepts digits int() rejects ("²") or
-            # reads as ASCII ones ("١").
+            # reads as ASCII ones ("١"); a leading zero would give one object
+            # many paths.
             if not (number.isascii() and number.isdigit()):
+                return None
+            if number[0] == "0" and number != "0":
                 return None
             try:
                 return self.table.resolve(int(number))
@@ -452,10 +457,7 @@ class Node:
             return ReplyEnvelope.fail(FaultCode.TYPE_MISMATCH, "; ".join(mismatches))
 
         try:
-            local_args = [
-                _client.materialize(self, arg, declared)
-                for arg, declared in zip(call.args, sig.params)
-            ]
+            local_args = [_client.materialize(self, arg) for arg in call.args]
         except FaultError as exc:
             return ReplyEnvelope.fail(exc.code, str(exc))
         except (UnknownInterfaceError, NetworkError) as exc:
@@ -480,7 +482,7 @@ class Node:
             )
         except FaultError as exc:
             return ReplyEnvelope.fail(exc.code, str(exc))
-        except (RefbusError, ValueError) as exc:
+        except RefbusError as exc:
             return ReplyEnvelope.fail(FaultCode.INTERNAL, str(exc))
         return ReplyEnvelope.ok(wire_result)
 

@@ -60,6 +60,10 @@ class ObjectTable:
                 self._by_key[key] = dep
             return dep
 
+    def lookup(self, identity: int, iface_name: str) -> Deployment | None:
+        """The deployment of (component identity, interface name), if any."""
+        return self._by_key.get((identity, iface_name))
+
     def ensure_number(self, dep: Deployment) -> int:
         with self._lock:
             if dep.object_number is None:

@@ -36,14 +36,15 @@ class Ior:
     interface_name: str
 
     def __post_init__(self):
-        if not self.host:
-            raise ValueError("Ior host must be non-empty")
-        if not isinstance(self.port, int) or not 1 <= self.port <= 65535:
-            raise ValueError(f"Ior port out of range: {self.port!r}")
-        if not isinstance(self.object_number, int) or not 0 <= self.object_number <= I64_MAX:
-            raise ValueError(f"Ior object number out of range: {self.object_number!r}")
-        if not self.interface_name:
-            raise ValueError("Ior interface name must be non-empty")
+        port, number = self.port, self.object_number
+        if not isinstance(self.host, str) or not self.host:
+            raise ValueError("Ior host must be a non-empty string")
+        if isinstance(port, bool) or not isinstance(port, int) or not 1 <= port <= 65535:
+            raise ValueError(f"Ior port out of range: {port!r}")
+        if isinstance(number, bool) or not isinstance(number, int) or not 0 <= number <= I64_MAX:
+            raise ValueError(f"Ior object number out of range: {number!r}")
+        if not isinstance(self.interface_name, str) or not self.interface_name:
+            raise ValueError("Ior interface name must be a non-empty string")
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,10 @@ class VFloat:
     def __post_init__(self):
         if isinstance(self.value, bool) or not isinstance(self.value, (int, float)):
             raise ValueError(f"VFloat requires a float, got {type(self.value).__name__}")
-        object.__setattr__(self, "value", float(self.value))
+        try:
+            object.__setattr__(self, "value", float(self.value))
+        except OverflowError:
+            raise ValueError("VFloat out of range: integer too large for f64") from None
         if not math.isfinite(self.value):
             raise ValueError("VFloat must be finite (no NaN or infinity)")
 
@@ -167,24 +171,34 @@ class InterfaceType:
 
 TypeRef = Union[Prim, ListOf, RecordType, InterfaceType]
 
-_PRIM_VALUE_CLASS = {
-    Prim.NULL: VNull,
-    Prim.BOOL: VBool,
-    Prim.I64: VInt,
-    Prim.F64: VFloat,
-    Prim.STR: VStr,
-}
+# Each scalar kind once: its Prim (whose value is its wire tag), value class
+# and Python type. Only the value class's constructor decides what fits; it
+# raises ValueError. A Python int is no f64, but VFloat takes a JSON integer.
+SCALARS = (
+    (Prim.BOOL, VBool, bool),
+    (Prim.I64, VInt, int),
+    (Prim.F64, VFloat, float),
+    (Prim.STR, VStr, str),
+)
+SCALAR_CLASS_BY_TAG = {prim.value: cls for prim, cls, _ in SCALARS}
+SCALAR_TAG_BY_CLASS = {cls: prim.value for prim, cls, _ in SCALARS}
+_SCALAR_BY_PY_TYPE = {py_type: (prim, cls) for prim, cls, py_type in SCALARS}
 
-_TAGS = {
-    VNull: "null",
-    VBool: "bool",
-    VInt: "i64",
-    VFloat: "f64",
-    VStr: "str",
-    VList: "list",
-    VRecord: "rec",
-    VRef: "ref",
-}
+
+def python_scalar(x) -> tuple[Prim, type] | None:
+    """The (Prim, value class) a Python datum travels as; None for a non-scalar.
+
+    A subclass (an IntEnum, say) falls back to isinstance; bool precedes int.
+    """
+    row = _SCALAR_BY_PY_TYPE.get(type(x))
+    if row is None:
+        for prim, cls, py_type in SCALARS:
+            if isinstance(x, py_type):
+                return prim, cls
+    return row
+
+
+_TAGS = {VNull: "null", **SCALAR_TAG_BY_CLASS, VList: "list", VRecord: "rec", VRef: "ref"}
 
 
 def value_tag(v: Value) -> str:
@@ -246,7 +260,9 @@ def type_check(v: Value, t: TypeRef, env: TypeEnvironment) -> list[str]:
     the expected/actual tags; an empty list means the value conforms.
     Null conforms to any interface or record position (an absent
     reference), and a record conforms to an interface position because a
-    by-value component copy travels as its state record.
+    by-value component copy travels as its state record. When the record
+    names a class in ``env``, that class must be compatible with the
+    interface and the record must hold its state fields.
     """
     mismatches: list[str] = []
     _check(v, t, env, "$", mismatches)
@@ -260,7 +276,7 @@ def _mismatch(out: list[str], path: str, t: TypeRef, v: Value, note: str = ""):
 
 def _check(v: Value, t: TypeRef, env: TypeEnvironment, path: str, out: list[str]):
     if isinstance(t, Prim):
-        if not isinstance(v, _PRIM_VALUE_CLASS[t]):
+        if _TAGS[type(v)] != t.value:
             _mismatch(out, path, t, v)
         return
     if isinstance(t, ListOf):
@@ -283,26 +299,47 @@ def _check(v: Value, t: TypeRef, env: TypeEnvironment, path: str, out: list[str]
         if declared is None:
             out.append(f"{path}: record type {t.name!r} is not defined")
             return
-        if len(v.fields) != len(declared):
-            out.append(
-                f"{path}: record {t.name!r} has {len(v.fields)} fields, expected {len(declared)}"
-            )
-            return
-        for (fname, fvalue), (dname, dtype) in zip(v.fields, declared):
-            if fname != dname:
-                out.append(f"{path}: record field {fname!r} where {dname!r} was declared")
-                return
-            _check(fvalue, dtype, env, f"{path}.{fname}", out)
+        _check_fields(v, declared, env, path, out)
         return
     # InterfaceType: a reference with the right interface, an absent
-    # reference, or a by-value component copy (record).
-    if isinstance(v, VNull) or isinstance(v, VRecord):
+    # reference, or a by-value component copy (record). A copy naming a class
+    # known here holds that class's state, with null for None fields as
+    # snapshots send them, and the class must be compatible.
+    if isinstance(v, VNull):
+        return
+    if isinstance(v, VRecord):
+        cls = env.classes.get(v.type_name)
+        if cls is None:
+            return
+        from .interfaces import check_compat  # interfaces imports this module
+
+        iface = env.interfaces.get(t.name)
+        if iface is None or check_compat(cls, iface):
+            _mismatch(out, path, t, v, f"class {cls.name!r} is not compatible")
+        else:
+            _check_fields(v, cls.state_fields, env, path, out, null_ok=True)
         return
     if isinstance(v, VRef):
         if v.ior.interface_name != t.name:
             _mismatch(out, path, t, v, f"reference to {v.ior.interface_name!r}")
         return
     _mismatch(out, path, t, v)
+
+
+def _check_fields(v: VRecord, declared, env, path: str, out: list[str], *, null_ok=False):
+    """Declared names, order and count; each value conforms or, if null_ok, is null."""
+    if len(v.fields) != len(declared):
+        out.append(
+            f"{path}: record {v.type_name!r} has {len(v.fields)} fields, "
+            f"expected {len(declared)}"
+        )
+        return
+    for (fname, fvalue), (dname, dtype) in zip(v.fields, declared):
+        if fname != dname:
+            out.append(f"{path}: record field {fname!r} where {dname!r} was declared")
+            return
+        if not (null_ok and isinstance(fvalue, VNull)):
+            _check(fvalue, dtype, env, f"{path}.{fname}", out)
 
 
 def _float_bits(f: float) -> bytes:

@@ -16,19 +16,15 @@ from typing import Any, Iterable
 
 from .errors import BadEnvelopeError, FaultCode
 from .values import (
-    I64_MAX,
-    I64_MIN,
     NULL,
+    SCALAR_CLASS_BY_TAG,
+    SCALAR_TAG_BY_CLASS,
     Ior,
     Value,
-    VBool,
-    VFloat,
-    VInt,
     VList,
     VNull,
     VRecord,
     VRef,
-    VStr,
 )
 
 
@@ -75,16 +71,11 @@ def _dumps(obj: Any) -> str:
 
 
 def _value_obj(v: Value) -> dict:
+    tag = SCALAR_TAG_BY_CLASS.get(type(v))
+    if tag is not None:
+        return {"t": tag, "v": v.value}
     if isinstance(v, VNull):
         return {"t": "null"}
-    if isinstance(v, VBool):
-        return {"t": "bool", "v": v.value}
-    if isinstance(v, VInt):
-        return {"t": "i64", "v": v.value}
-    if isinstance(v, VFloat):
-        return {"t": "f64", "v": v.value}
-    if isinstance(v, VStr):
-        return {"t": "str", "v": v.value}
     if isinstance(v, VList):
         return {"t": "list", "v": [_value_obj(item) for item in v.items]}
     if isinstance(v, VRecord):
@@ -147,36 +138,29 @@ def _require_keys(obj: dict, keys: set[str], what: str, path: str):
 
 
 def _parse_value(obj: Any, path: str) -> Value:
+    """Check the JSON shape here; the value classes check what fits."""
     if not isinstance(obj, dict):
         raise BadEnvelopeError(f"{path}: value must be a tagged object")
     tag = obj.get("t")
+    if not isinstance(tag, str):  # a JSON list or object tag is unhashable
+        raise BadEnvelopeError(f"{path}: unknown value tag {tag!r}")
+    scalar = SCALAR_CLASS_BY_TAG.get(tag)
+    try:
+        if scalar is not None:
+            _require_keys(obj, {"t", "v"}, f"{tag} value", path)
+            return scalar(obj["v"])
+        if tag == "ref":
+            _require_keys(obj, {"t", "v"}, "reference value", path)
+            ref = obj["v"]
+            if not isinstance(ref, dict):
+                raise BadEnvelopeError(f"{path}: reference payload must be an object")
+            _require_keys(ref, {"host", "port", "obj", "iface"}, "reference", path)
+            return VRef(Ior(ref["host"], ref["port"], ref["obj"], ref["iface"]))
+    except ValueError as exc:
+        raise BadEnvelopeError(f"{path}: {exc}") from None
     if tag == "null":
         _require_keys(obj, {"t"}, "null value", path)
         return NULL
-    if tag == "bool":
-        _require_keys(obj, {"t", "v"}, "bool value", path)
-        if not isinstance(obj["v"], bool):
-            raise BadEnvelopeError(f"{path}: bool payload must be true or false")
-        return VBool(obj["v"])
-    if tag == "i64":
-        _require_keys(obj, {"t", "v"}, "i64 value", path)
-        v = obj["v"]
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise BadEnvelopeError(f"{path}: i64 payload must be an integer")
-        if not I64_MIN <= v <= I64_MAX:
-            raise BadEnvelopeError(f"{path}: i64 payload out of range")
-        return VInt(v)
-    if tag == "f64":
-        _require_keys(obj, {"t", "v"}, "f64 value", path)
-        v = obj["v"]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise BadEnvelopeError(f"{path}: f64 payload must be a number")
-        return VFloat(float(v))
-    if tag == "str":
-        _require_keys(obj, {"t", "v"}, "str value", path)
-        if not isinstance(obj["v"], str):
-            raise BadEnvelopeError(f"{path}: str payload must be a string")
-        return VStr(obj["v"])
     if tag == "list":
         _require_keys(obj, {"t", "v"}, "list value", path)
         if not isinstance(obj["v"], list):
@@ -197,27 +181,6 @@ def _parse_value(obj: Any, path: str) -> Value:
                 raise BadEnvelopeError(f"{path}: record field names must be non-empty")
             fields.append((name, _parse_value(value, f"{path}.{name}")))
         return VRecord(type_name, fields)
-    if tag == "ref":
-        _require_keys(obj, {"t", "v"}, "reference value", path)
-        ref = obj["v"]
-        if not isinstance(ref, dict):
-            raise BadEnvelopeError(f"{path}: reference payload must be an object")
-        _require_keys(ref, {"host", "port", "obj", "iface"}, "reference", path)
-        host, port, number, iface = ref["host"], ref["port"], ref["obj"], ref["iface"]
-        if not isinstance(host, str) or not isinstance(iface, str):
-            raise BadEnvelopeError(f"{path}: reference host and iface must be strings")
-        if (
-            isinstance(port, bool)
-            or isinstance(number, bool)
-            or not isinstance(port, int)
-            or not isinstance(number, int)
-        ):
-            raise BadEnvelopeError(f"{path}: reference port and obj must be integers")
-        try:
-            ior = Ior(host, port, number, iface)
-        except ValueError as exc:
-            raise BadEnvelopeError(f"{path}: {exc}") from None
-        return VRef(ior)
     raise BadEnvelopeError(f"{path}: unknown value tag {tag!r}")
 
 

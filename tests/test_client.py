@@ -214,6 +214,25 @@ def test_call_timeout(make_node):
         sleeper.invoke("nap", (), CallOptions(timeout=0.1))
 
 
+def test_unrepresentable_numbers_fault_before_sending(make_node, monkeypatch):
+    import refbus.client
+
+    sent = []
+    monkeypatch.setattr(refbus.client, "post_call", lambda *args: sent.append(args))
+    inumbers = InterfaceDescriptor(
+        "INumbers",
+        [MethodSig("put", (Prim.I64,), Prim.NULL), MethodSig("putf", (Prim.F64,), Prim.NULL)],
+    )
+    node = make_node()
+    node.register_interface(inumbers)
+    proxy = node.proxy_for_ior(Ior(node.host, node.port, 0, "INumbers"))
+    with pytest.raises(TypeMismatchError):
+        proxy.put(2**70)
+    with pytest.raises(TypeMismatchError):
+        proxy.putf(float("nan"))
+    assert sent == []
+
+
 def test_null_argument_travels_as_null_under_any_policy(make_node):
     node_a, node_b = _holder_node(make_node), _holder_node(make_node)
     node_a.policies.set_method_policy("IHolder", "setItem", BY_REFERENCE)
@@ -232,7 +251,7 @@ def test_materialize_loopback_reference_preserves_identity(make_node):
     node = make_node()
     john = Person("john", 35)
     ior = node.deploy_anonymous("IPerson", john)
-    assert materialize(node, VRef(ior), InterfaceType("IPerson")) is john
+    assert materialize(node, VRef(ior)) is john
 
 
 def test_materialize_loopback_unknown_object(make_node):
@@ -260,7 +279,7 @@ def test_materialize_unknown_interface(make_node):
 def test_materialize_record_with_constructor(make_node):
     node = make_node()
     record = VRecord("Person", [("name", VStr("John Brown")), ("age", VInt(35))])
-    person = materialize(node, record, InterfaceType("IPerson"))
+    person = materialize(node, record)
     assert isinstance(person, Person)
     assert (person.name, person.age) == ("John Brown", 35)
 

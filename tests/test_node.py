@@ -181,13 +181,15 @@ def test_unknown_path_faults_unknown_service(bob_node):
     assert reply.fault.code is FaultCode.UNKNOWN_SERVICE
     reply = _call(bob_node, "/a/b/c", "getName")
     assert reply.fault.code is FaultCode.UNKNOWN_SERVICE
-    # Object numbers are ASCII decimal only. http.client cannot send these
-    # paths, so they go to handle_request directly; objects 0 and 1 exist,
-    # so "/obj/١" (an Arabic-Indic one) must not alias "/obj/1".
+    # Object numbers are canonical ASCII decimal only. http.client cannot
+    # send some of these paths, so they go to handle_request directly;
+    # objects 0 and 1 exist, so "/obj/١" (an Arabic-Indic one) must not alias
+    # "/obj/1", nor "/obj/000" alias "/obj/0".
     bob_node.deploy_anonymous("INamedEntity", Student("a", 1))
     bob_node.deploy_anonymous("INamedEntity", Student("b", 2))
     body = encode_call(CallEnvelope("getName")).encode("utf-8")
-    for path in ["/obj/\u00b2", "/obj/" + "1" * 5000, "/obj/\u0661"]:
+    paths = ["/obj/\u00b2", "/obj/" + "1" * 5000, "/obj/\u0661", "/obj/000", "/obj/01"]
+    for path in paths:
         status, text = bob_node.handle_request("POST", path, "", body)
         assert status == 200
         assert decode_reply(text).fault.code is FaultCode.UNKNOWN_SERVICE, path
@@ -204,6 +206,13 @@ def test_bad_argument_type_faults_with_path(make_node):
     reply = _call(node, "/mary", "setSpouse", [VInt(3)])
     assert reply.fault.code is FaultCode.TYPE_MISMATCH
     assert "arg 0" in reply.fault.message
+
+
+def test_unrepresentable_result_faults_type_mismatch(make_node):
+    node = make_node()
+    node.deploy("IPerson", Person("huge", 2**70), "huge")
+    reply = _call(node, "/huge", "getAge")
+    assert reply.fault.code is FaultCode.TYPE_MISMATCH
 
 
 def test_component_exception_becomes_internal_fault(make_node):
@@ -399,6 +408,56 @@ def test_jit_deployment_is_idempotent(make_node):
     wires = [_marshal(node, john, InterfaceType("IPerson")) for _ in range(20)]
     assert len({w.ior for w in wires}) == 1
     assert len(node.table.deployments()) == before + 1
+
+
+def test_repeated_anonymous_deployment_prepares_once(make_node, monkeypatch):
+    import refbus.node
+
+    handles, walks = [], []
+    original_init = ComponentHandle.__init__
+    original_walk = refbus.node.check_closure
+
+    def counting_init(self, *args, **kwargs):
+        handles.append(self)
+        original_init(self, *args, **kwargs)
+
+    def counting_walk(*args):
+        walks.append(args)
+        return original_walk(*args)
+
+    monkeypatch.setattr(ComponentHandle, "__init__", counting_init)
+    monkeypatch.setattr(refbus.node, "check_closure", counting_walk)
+    node = make_node()
+    john = Person("John Brown", 35)
+    iors = [node.deploy_anonymous("IPerson", john) for _ in range(100)]
+    assert len(set(iors)) == 1
+    assert len(handles) == 1
+    assert len(walks) == 1
+
+
+def test_by_value_copy_must_match_the_receiving_class(make_node):
+    """A record at an interface position that names a class registered here
+    must be a state copy of that class, and the class must be compatible."""
+    from refbus import NULL
+
+    node = make_node()
+    mary = Person("mary", 40)
+    node.deploy("IPerson", mary, "mary")
+    copies = [
+        VRecord("Student", [("name", VStr("bob")), ("matricNumber", VInt(1))]),
+        VRecord("Person", [("age", VInt(1)), ("name", VStr("old"))]),
+        VRecord("Person", []),
+    ]
+    for copy in copies:
+        reply = _call(node, "/mary", "setSpouse", [copy])
+        assert reply.fault is not None and reply.fault.code is FaultCode.TYPE_MISMATCH, copy
+    assert mary.spouse is None
+    # null state fields are accepted: snapshots send None as null
+    copy = VRecord("Person", [("name", NULL), ("age", VInt(3))])
+    reply = _call(node, "/mary", "setSpouse", [copy])
+    assert reply.fault is None
+    assert isinstance(mary.spouse, Person)
+    assert (mary.spouse.name, mary.spouse.age) == (None, 3)
 
 
 def test_marshal_type_mismatches(make_node):

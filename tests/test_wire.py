@@ -127,6 +127,12 @@ def test_decode_call_missing_method():
         '{"t":"ref","v":{"host":"h","port":80,"obj":1}}',
         '{"t":"ref","v":{"host":"h","port":80,"obj":-1,"iface":"I"}}',
         '{"t":"ref","v":{"host":"","port":80,"obj":1,"iface":"I"}}',
+        '{"t":"f64","v":1e999}',
+        '{"t":"f64","v":' + "9" * 400 + "}",
+        '{"t":[1]}',
+        '{"t":{"a":1}}',
+        '{"t":"ref","v":{"host":5,"port":80,"obj":1,"iface":"I"}}',
+        '{"t":"ref","v":{"host":"h","port":true,"obj":1,"iface":"I"}}',
     ],
 )
 def test_decode_value_rejects_malformed(text):
