@@ -5,10 +5,15 @@ structural interfaces, serves them at name- and object-number-based
 endpoints, and lets callers choose, per class, method, parameter, return
 value, or individual call, whether arguments travel by value (a state
 copy) or by reference (a remote reference that preserves identity).
+
+This package exports what a user of nodes needs: the node, the type
+grammar and descriptors, transmission policies, and the error classes.
+The wire codec, the value model and the node's tables live in their
+submodules (``refbus.wire``, ``refbus.values``, ``refbus.registry``, ...).
 """
 
-from .client import CallOptions, Proxy, materialize
-from .component import ComponentHandle, snapshot_instance
+from .client import CallOptions
+from .component import ComponentHandle
 from .errors import (
     BadEnvelopeError,
     CallTimeout,
@@ -27,59 +32,10 @@ from .errors import (
     UnknownMethodError,
     UnknownServiceError,
 )
-from .interfaces import (
-    ClassDescriptor,
-    ClosureViolation,
-    InterfaceDescriptor,
-    MethodSig,
-    check_closure,
-    check_compat,
-    describe,
-)
+from .interfaces import ClassDescriptor, InterfaceDescriptor, MethodSig
 from .node import Node
-from .policy import (
-    BY_REFERENCE,
-    BY_VALUE,
-    CallOverride,
-    ParamPos,
-    PolicyStore,
-    RETURN,
-    ReturnPos,
-    TransmissionPolicy,
-)
-from .registry import Deployment, ObjectTable, ProxyTable
-from .values import (
-    NULL,
-    InterfaceType,
-    Ior,
-    ListOf,
-    Prim,
-    RecordType,
-    TypeEnvironment,
-    TypeRef,
-    Value,
-    VBool,
-    VFloat,
-    VInt,
-    VList,
-    VNull,
-    VRecord,
-    VRef,
-    VStr,
-    type_check,
-    value_equals,
-)
-from .wire import (
-    CallEnvelope,
-    Fault,
-    ReplyEnvelope,
-    decode_call,
-    decode_reply,
-    decode_value,
-    encode_call,
-    encode_reply,
-    encode_value,
-)
+from .policy import BY_REFERENCE, BY_VALUE, CallOverride
+from .values import InterfaceType, ListOf, Prim, RecordType
 
 __version__ = "0.1.0"
 
@@ -87,15 +43,11 @@ __all__ = [
     "BY_REFERENCE",
     "BY_VALUE",
     "BadEnvelopeError",
-    "CallEnvelope",
     "CallOptions",
     "CallOverride",
     "CallTimeout",
     "ClassDescriptor",
-    "ClosureViolation",
     "ComponentHandle",
-    "Deployment",
-    "Fault",
     "FaultCode",
     "FaultError",
     "IncompatibleComponentError",
@@ -103,53 +55,18 @@ __all__ = [
     "InterfaceType",
     "InternalFaultError",
     "InvalidNameError",
-    "Ior",
     "ListOf",
     "MethodSig",
-    "NULL",
     "NameInUseError",
     "NetworkError",
     "Node",
     "NonInterfaceSignatureError",
-    "ObjectTable",
-    "ParamPos",
-    "PolicyStore",
     "Prim",
-    "Proxy",
-    "ProxyTable",
-    "RETURN",
     "RecordType",
     "RefbusError",
-    "ReplyEnvelope",
-    "ReturnPos",
     "ScenarioFailed",
-    "TransmissionPolicy",
-    "TypeEnvironment",
     "TypeMismatchError",
-    "TypeRef",
     "UnknownInterfaceError",
     "UnknownMethodError",
     "UnknownServiceError",
-    "VBool",
-    "VFloat",
-    "VInt",
-    "VList",
-    "VNull",
-    "VRecord",
-    "VRef",
-    "VStr",
-    "Value",
-    "check_closure",
-    "check_compat",
-    "decode_call",
-    "decode_reply",
-    "decode_value",
-    "describe",
-    "encode_call",
-    "encode_reply",
-    "encode_value",
-    "materialize",
-    "snapshot_instance",
-    "type_check",
-    "value_equals",
 ]

@@ -22,9 +22,10 @@ from .errors import (
     NetworkError,
     TypeMismatchError,
     UnknownMethodError,
+    UnknownServiceError,
     fault_error,
 )
-from .interfaces import InterfaceDescriptor
+from .interfaces import RESOLVE_METHOD, InterfaceDescriptor
 from .policy import CallOverride, ParamPos
 from .values import (
     SCALAR_TAG_BY_CLASS,
@@ -36,10 +37,6 @@ from .values import (
     type_check,
 )
 from .wire import CallEnvelope, ReplyEnvelope, decode_reply, encode_call
-
-RESOLVE_METHOD = "__resolve"
-SNAPSHOT_METHOD = "__snapshot"
-RESERVED_METHODS = frozenset({RESOLVE_METHOD, SNAPSHOT_METHOD})
 
 DEFAULT_TIMEOUT = 30.0
 
@@ -156,7 +153,8 @@ def materialize(node, v: Value):
     """Turn a wire value into its local form, directed by its tags alone.
 
     References pointing at this node resolve to the original instance
-    (unproxying); other references intern to a proxy. Records reconstruct a
+    (unproxying) when their object number and interface name belong to one
+    deployment; other references intern to a proxy. Records reconstruct a
     fresh component when a constructor is registered for their type name,
     otherwise they are delivered as-is; type_check first ensures they hold
     that class's state fields in order.
@@ -175,7 +173,13 @@ def materialize(node, v: Value):
     if isinstance(v, VRef):
         ior = v.ior
         if (ior.host, ior.port) == (node.host, node.port):
-            return node.table.resolve(ior.object_number).component.instance
+            dep = node.table.resolve(ior.object_number)
+            if dep.iface.name != ior.interface_name:
+                raise UnknownServiceError(
+                    f"object number {ior.object_number} is not deployed as "
+                    f"{ior.interface_name!r}"
+                )
+            return dep.component.instance
         return node.proxy_for_ior(ior)
     raise TypeMismatchError(f"cannot materialize {type(v).__name__}")
 

@@ -29,7 +29,7 @@ from .values import (
 
 
 class ComponentHandle:
-    """A live instance plus its descriptor, skeleton, and snapshot capability.
+    """A live instance plus its descriptor and dispatch skeleton.
 
     ``identity`` is the instance's in-memory identity, so wrapping the same
     instance twice yields handles the object table will coalesce.
@@ -57,9 +57,6 @@ class ComponentHandle:
         if target is None:
             raise UnknownMethodError(f"no such method: {method_name}")
         return target(*args)
-
-    def snapshot(self) -> VRecord:
-        return snapshot_instance(self.instance, self.class_descriptor)
 
     def __repr__(self):
         return f"<ComponentHandle {self.class_descriptor.name} identity={self.identity}>"

@@ -24,6 +24,12 @@ from .values import (
 )
 
 
+# Methods every deployment answers itself; no signature may declare them.
+RESOLVE_METHOD = "__resolve"
+SNAPSHOT_METHOD = "__snapshot"
+RESERVED_METHODS = frozenset({RESOLVE_METHOD, SNAPSHOT_METHOD})
+
+
 @dataclass(frozen=True)
 class MethodSig:
     name: str
@@ -33,6 +39,8 @@ class MethodSig:
     def __init__(self, name: str, params: Iterable[TypeRef] = (), returns: TypeRef = Prim.NULL):
         if not name:
             raise ValueError("method name must be non-empty")
+        if name in RESERVED_METHODS:
+            raise ValueError(f"method name {name!r} is reserved")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "params", tuple(params))
         object.__setattr__(self, "returns", returns)

@@ -32,13 +32,19 @@ from .errors import (
     FaultCode,
     FaultError,
     IncompatibleComponentError,
+    InternalFaultError,
     NetworkError,
     NonInterfaceSignatureError,
     RefbusError,
     TypeMismatchError,
     UnknownInterfaceError,
+    UnknownMethodError,
+    UnknownServiceError,
 )
 from .interfaces import (
+    RESERVED_METHODS,
+    RESOLVE_METHOD,
+    SNAPSHOT_METHOD,
     ClassDescriptor,
     InterfaceDescriptor,
     check_closure,
@@ -128,10 +134,6 @@ class Node:
     @property
     def port(self) -> int:
         return self._port
-
-    @property
-    def started(self) -> bool:
-        return self._server is not None
 
     def start(self) -> "Node":
         if self._server is not None:
@@ -342,7 +344,7 @@ class Node:
     def _remote_snapshot(self, proxy: _client.Proxy) -> VRecord:
         ior = proxy.ior
         reply = _client.post_call(
-            ior.host, ior.port, f"/obj/{ior.object_number}", CallEnvelope(_client.SNAPSHOT_METHOD)
+            ior.host, ior.port, f"/obj/{ior.object_number}", CallEnvelope(SNAPSHOT_METHOD)
         )
         if reply.fault is not None:
             raise NetworkError(
@@ -417,74 +419,55 @@ class Node:
         return json.dumps({"deployments": rows}, separators=(",", ":"))
 
     def _call(self, dep: Deployment | None, path: str, body: bytes) -> ReplyEnvelope:
+        """Answer one call; the only place an exception becomes a fault."""
         try:
             if dep is None:
-                return ReplyEnvelope.fail(FaultCode.UNKNOWN_SERVICE, f"no such service: {path}")
-            try:
-                call = decode_call(body)
-            except FaultError as exc:
-                return ReplyEnvelope.fail(exc.code, str(exc))
-            return self._dispatch(dep, call)
+                raise UnknownServiceError(f"no such service: {path}")
+            return ReplyEnvelope.ok(self._dispatch(dep, decode_call(body)))
         except FaultError as exc:
             return ReplyEnvelope.fail(exc.code, str(exc))
         except Exception as exc:  # total: never let a request kill the node
             return ReplyEnvelope.fail(FaultCode.INTERNAL, f"{type(exc).__name__}: {exc}")
 
-    def _dispatch(self, dep: Deployment, call: CallEnvelope) -> ReplyEnvelope:
-        if call.method == _client.RESOLVE_METHOD:
+    def _dispatch(self, dep: Deployment, call: CallEnvelope) -> Value:
+        if call.method in RESERVED_METHODS:
             if call.args:
-                return ReplyEnvelope.fail(FaultCode.TYPE_MISMATCH, "__resolve takes no arguments")
-            ior = self.table.export(dep.component, dep.iface, self._host, self._port)
-            return ReplyEnvelope.ok(VRef(ior))
-        if call.method == _client.SNAPSHOT_METHOD:
-            if call.args:
-                return ReplyEnvelope.fail(FaultCode.TYPE_MISMATCH, "__snapshot takes no arguments")
-            return ReplyEnvelope.ok(dep.component.snapshot())
+                raise TypeMismatchError(f"{call.method} takes no arguments")
+            if call.method == RESOLVE_METHOD:
+                return VRef(self.table.export(dep.component, dep.iface, self._host, self._port))
+            return snapshot_instance(dep.component.instance, dep.component.class_descriptor)
 
         sig = dep.iface.method(call.method)
         if sig is None:
-            return ReplyEnvelope.fail(FaultCode.UNKNOWN_METHOD, f"no such method: {call.method}")
+            raise UnknownMethodError(f"no such method: {call.method}")
         if len(call.args) != len(sig.params):
-            return ReplyEnvelope.fail(
-                FaultCode.TYPE_MISMATCH,
-                f"{call.method} takes {len(sig.params)} args, got {len(call.args)}",
+            raise TypeMismatchError(
+                f"{call.method} takes {len(sig.params)} args, got {len(call.args)}"
             )
         mismatches = []
         for i, (arg, declared) in enumerate(zip(call.args, sig.params)):
             for m in type_check(arg, declared, self.env):
                 mismatches.append(f"arg {i} {m}")
         if mismatches:
-            return ReplyEnvelope.fail(FaultCode.TYPE_MISMATCH, "; ".join(mismatches))
+            raise TypeMismatchError("; ".join(mismatches))
 
-        try:
-            local_args = [_client.materialize(self, arg) for arg in call.args]
-        except FaultError as exc:
-            return ReplyEnvelope.fail(exc.code, str(exc))
-        except (UnknownInterfaceError, NetworkError) as exc:
-            return ReplyEnvelope.fail(FaultCode.INTERNAL, str(exc))
-
+        local_args = [_client.materialize(self, arg) for arg in call.args]
         try:
             if dep.component.reentrant:
                 result = dep.component.invoke(call.method, local_args)
             else:
                 with dep.component.lock:
                     result = dep.component.invoke(call.method, local_args)
-        except Exception as exc:
-            return ReplyEnvelope.fail(FaultCode.INTERNAL, f"{type(exc).__name__}: {exc}")
+        except Exception as exc:  # a component's FaultError is INTERNAL too
+            raise InternalFaultError(f"{type(exc).__name__}: {exc}") from exc
 
-        try:
-            wire_result = self.marshal_outbound(
-                result,
-                sig.returns,
-                iface_name=dep.iface.name,
-                method_name=call.method,
-                position=RETURN,
-            )
-        except FaultError as exc:
-            return ReplyEnvelope.fail(exc.code, str(exc))
-        except RefbusError as exc:
-            return ReplyEnvelope.fail(FaultCode.INTERNAL, str(exc))
-        return ReplyEnvelope.ok(wire_result)
+        return self.marshal_outbound(
+            result,
+            sig.returns,
+            iface_name=dep.iface.name,
+            method_name=call.method,
+            position=RETURN,
+        )
 
 
 def _make_handler(node: Node):

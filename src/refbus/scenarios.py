@@ -103,18 +103,9 @@ def register_demo_types(node: Node):
     node.register_class(Person, PERSON_CLASS)
 
 
-def _ports(ports, count: int) -> list[int]:
-    if ports is None:
-        return [0] * count
-    if len(ports) < count:
-        raise ValueError(f"scenario needs {count} ports, got {len(ports)}")
-    return list(ports[:count])
-
-
-def _figure1(ports) -> list[str]:
-    pa, pb = _ports(ports, 2)
+def _figure1() -> list[str]:
     out: list[str] = []
-    server, consumer = Node(port=pa), Node(port=pb)
+    server, consumer = Node(), Node()
     register_demo_types(server)
     register_demo_types(consumer)
     server.start()
@@ -130,10 +121,9 @@ def _figure1(ports) -> list[str]:
     return out
 
 
-def _figure2_remote(policy: TransmissionPolicy, ports) -> list[str]:
-    pa, pb = _ports(ports, 2)
+def _figure2_remote(policy: TransmissionPolicy) -> list[str]:
     out: list[str] = []
-    node_a, node_b = Node(port=pa), Node(port=pb)
+    node_a, node_b = Node(), Node()
     register_demo_types(node_a)
     register_demo_types(node_b)
     node_a.start()
@@ -156,15 +146,15 @@ def _figure2_remote(policy: TransmissionPolicy, ports) -> list[str]:
     return out
 
 
-def _figure2_byref(ports) -> list[str]:
-    return _figure2_remote(BY_REFERENCE, ports)
+def _figure2_byref() -> list[str]:
+    return _figure2_remote(BY_REFERENCE)
 
 
-def _figure2_byvalue(ports) -> list[str]:
-    return _figure2_remote(BY_VALUE, ports)
+def _figure2_byvalue() -> list[str]:
+    return _figure2_remote(BY_VALUE)
 
 
-def _figure2_local(ports) -> list[str]:
+def _figure2_local() -> list[str]:
     out = ["mary and john share one address space"]
     mary = Person("Mary Smith", 40)
     john = Person("John Brown", 35)
@@ -174,7 +164,7 @@ def _figure2_local(ports) -> list[str]:
     return out
 
 
-def _figure4_precedence(ports) -> list[str]:
+def _figure4_precedence() -> list[str]:
     out: list[str] = []
     store = PolicyStore()
 
@@ -272,7 +262,7 @@ def transcript_diff(name: str, transcript: list[str]) -> list[str]:
     return problems
 
 
-def run_scenario(name: str, *, ports=None, check: bool = True) -> list[str]:
+def run_scenario(name: str, *, check: bool = True) -> list[str]:
     """Run a named scenario and return its transcript.
 
     With check=True (the default) the transcript is verified against the
@@ -282,7 +272,7 @@ def run_scenario(name: str, *, ports=None, check: bool = True) -> list[str]:
     runner = SCENARIOS.get(name)
     if runner is None:
         raise ValueError(f"unknown scenario {name!r} (choose from {sorted(SCENARIOS)})")
-    transcript = runner(ports)
+    transcript = runner()
     if check:
         problems = transcript_diff(name, transcript)
         if problems:

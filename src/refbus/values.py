@@ -130,9 +130,6 @@ class VRecord:
                 return value
         raise KeyError(name)
 
-    def as_dict(self) -> dict[str, "Value"]:
-        return dict(self.fields)
-
 
 @dataclass(frozen=True)
 class VRef:

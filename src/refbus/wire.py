@@ -184,12 +184,31 @@ def _parse_value(obj: Any, path: str) -> Value:
     raise BadEnvelopeError(f"{path}: unknown value tag {tag!r}")
 
 
+def _decode(text: str, parse):
+    """Parse JSON text, then its object with ``parse``.
+
+    Nesting too deep for either step (json.loads or the recursive walkers)
+    is a malformed envelope, not an internal error.
+    """
+    try:
+        return parse(_loads(text))
+    except RecursionError:
+        raise BadEnvelopeError("value nesting too deep") from None
+
+
 def decode_value(text: str) -> Value:
-    return _parse_value(_loads(text), "$")
+    return _decode(text, lambda obj: _parse_value(obj, "$"))
 
 
 def decode_call(text: str) -> CallEnvelope:
-    obj = _loads(text)
+    return _decode(text, _parse_call)
+
+
+def decode_reply(text: str) -> ReplyEnvelope:
+    return _decode(text, _parse_reply)
+
+
+def _parse_call(obj: Any) -> CallEnvelope:
     if not isinstance(obj, dict):
         raise BadEnvelopeError("call must be an object")
     _require_keys(obj, {"method", "args"}, "call", "$")
@@ -202,8 +221,7 @@ def decode_call(text: str) -> CallEnvelope:
     return CallEnvelope(method, args)
 
 
-def decode_reply(text: str) -> ReplyEnvelope:
-    obj = _loads(text)
+def _parse_reply(obj: Any) -> ReplyEnvelope:
     if not isinstance(obj, dict):
         raise BadEnvelopeError("reply must be an object")
     if set(obj.keys()) == {"result"}:

@@ -13,15 +13,10 @@ import struct
 
 import pytest
 
-from refbus import (
+from refbus import InterfaceDescriptor, InterfaceType, ListOf, Node, Prim, RecordType
+from refbus.values import (
     NULL,
-    InterfaceDescriptor,
-    InterfaceType,
     Ior,
-    ListOf,
-    Node,
-    Prim,
-    RecordType,
     TypeEnvironment,
     VBool,
     VFloat,

@@ -18,7 +18,6 @@ from contextlib import contextmanager
 from refbus import (
     BY_REFERENCE,
     BY_VALUE,
-    CallEnvelope,
     CallOverride,
     ClassDescriptor,
     ComponentHandle,
@@ -28,17 +27,11 @@ from refbus import (
     InterfaceType,
     MethodSig,
     NonInterfaceSignatureError,
-    ParamPos,
-    PolicyStore,
     Prim,
-    RETURN,
-    VInt,
-    VRef,
-    VStr,
-    decode_value,
-    encode_value,
-    value_equals,
 )
+from refbus.policy import RETURN, ParamPos, PolicyStore
+from refbus.values import VInt, VRef, VStr, value_equals
+from refbus.wire import CallEnvelope, decode_value, encode_value
 from refbus.client import http_get, materialize, post_call
 from refbus.inspector import (
     EXIT_FAULT,

@@ -11,7 +11,6 @@ from refbus import (
     BY_REFERENCE,
     BY_VALUE,
     BadEnvelopeError,
-    CallEnvelope,
     CallOptions,
     CallOverride,
     CallTimeout,
@@ -19,24 +18,18 @@ from refbus import (
     ComponentHandle,
     InterfaceDescriptor,
     InterfaceType,
-    Ior,
     MethodSig,
     NetworkError,
     Node,
     Prim,
-    Proxy,
     TypeMismatchError,
     UnknownInterfaceError,
     UnknownMethodError,
     UnknownServiceError,
-    VInt,
-    VList,
-    VRecord,
-    VRef,
-    VStr,
-    value_equals,
 )
-from refbus.client import http_get, materialize, post_call
+from refbus.client import Proxy, http_get, materialize, post_call
+from refbus.values import Ior, VInt, VList, VRecord, VRef, VStr, value_equals
+from refbus.wire import CallEnvelope
 from refbus.scenarios import Person, Student, register_demo_types
 
 IHOLDER = InterfaceDescriptor(

@@ -13,14 +13,9 @@ from refbus import (
     MethodSig,
     Prim,
     UnknownMethodError,
-    VInt,
-    VList,
-    VRecord,
-    VStr,
-    snapshot_instance,
-    value_equals,
 )
-from refbus.values import NULL
+from refbus.component import snapshot_instance
+from refbus.values import NULL, VInt, VList, VRecord, VStr, value_equals
 from refbus.scenarios import PERSON_CLASS, STUDENT_CLASS, Person, Student
 
 
@@ -52,7 +47,7 @@ def test_identity_defaults_to_instance_identity():
 
 
 def test_snapshot_student():
-    snap = ComponentHandle(Student("Bobby Jones", 1234), STUDENT_CLASS).snapshot()
+    snap = snapshot_instance(Student("Bobby Jones", 1234), STUDENT_CLASS)
     expected = VRecord(
         "Student", [("name", VStr("Bobby Jones")), ("matricNumber", VInt(1234))]
     )

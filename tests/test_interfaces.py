@@ -16,11 +16,9 @@ from refbus import (
     MethodSig,
     Prim,
     RecordType,
-    TypeEnvironment,
-    check_closure,
-    check_compat,
-    describe,
 )
+from refbus.interfaces import check_closure, check_compat, describe
+from refbus.values import TypeEnvironment
 from refbus.scenarios import IPERSON, PERSON_CLASS, STUDENT_CLASS, INAMED_ENTITY
 
 
@@ -73,6 +71,13 @@ def test_compat_is_structural_not_just_names():
 def test_no_method_overloading():
     with pytest.raises(ValueError):
         InterfaceDescriptor("I", [MethodSig("m"), MethodSig("m", (Prim.I64,))])
+
+
+@pytest.mark.parametrize("name", ["__resolve", "__snapshot"])
+def test_reserved_method_names_cannot_be_declared(name):
+    # every deployment answers these itself, so a declared one could never run
+    with pytest.raises(ValueError):
+        MethodSig(name, (), Prim.STR)
 
 
 # ---------------------------------------------------------------------------

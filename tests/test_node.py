@@ -13,7 +13,6 @@ import pytest
 from refbus import (
     BY_REFERENCE,
     BY_VALUE,
-    CallEnvelope,
     CallOverride,
     ComponentHandle,
     FaultCode,
@@ -24,18 +23,12 @@ from refbus import (
     NameInUseError,
     Node,
     NonInterfaceSignatureError,
-    ParamPos,
     Prim,
-    RETURN,
-    VInt,
-    VRecord,
-    VRef,
-    VStr,
-    decode_reply,
-    describe,
-    encode_call,
-    value_equals,
 )
+from refbus.interfaces import describe
+from refbus.policy import RETURN, ParamPos
+from refbus.values import Ior, VInt, VRecord, VRef, VStr, value_equals
+from refbus.wire import CallEnvelope, decode_reply, encode_call
 from refbus.client import http_get, post_call
 from refbus.scenarios import Person, Student, register_demo_types
 
@@ -233,6 +226,45 @@ def _cranky_descriptor():
     from refbus import ClassDescriptor
 
     return ClassDescriptor("Cranky", methods=[MethodSig("boom", (), Prim.NULL)])
+
+
+def test_fault_raised_by_component_is_internal(make_node):
+    from refbus import ClassDescriptor, UnknownServiceError
+
+    class Liar:
+        def boom(self):
+            raise UnknownServiceError("not really")
+
+    node = make_node()
+    iface = InterfaceDescriptor("ILiar", [MethodSig("boom", (), Prim.NULL)])
+    node.register_interface(iface)
+    descriptor = ClassDescriptor("Liar", methods=iface.methods)
+    node.deploy(iface, ComponentHandle(Liar(), descriptor), "liar")
+    reply = _call(node, "/liar", "boom")
+    assert reply.fault.code is FaultCode.INTERNAL
+    assert reply.fault.message == "UnknownServiceError: not really"
+
+
+def test_forged_local_reference_faults_unknown_service(make_node):
+    """A reference naming this node resolves only when its object number
+    and interface name match the same deployment."""
+    node = make_node()
+    node.deploy_anonymous("INamedEntity", Student("Bobby Jones", 1234))  # object 0
+    mary = Person("mary", 40)
+    node.deploy("IPerson", mary, "mary")
+    forged = VRef(Ior(node.host, node.port, 0, "IPerson"))
+    reply = _call(node, "/mary", "setSpouse", [forged])
+    assert reply.fault.code is FaultCode.UNKNOWN_SERVICE
+    assert mary.spouse is None
+
+
+@pytest.mark.parametrize("depth", [300, 3000])
+def test_deeply_nested_argument_faults_bad_envelope(bob_node, depth):
+    value = '{"t":"list","v":[' * depth + "]}" * depth
+    body = ('{"method":"getName","args":[' + value + "]}").encode("utf-8")
+    status, text = bob_node.handle_request("POST", "/bob", "", body)
+    assert status == 200
+    assert decode_reply(text).fault.code is FaultCode.BAD_ENVELOPE
 
 
 def test_wsdl_endpoint_matches_describe(bob_node):
@@ -438,7 +470,7 @@ def test_repeated_anonymous_deployment_prepares_once(make_node, monkeypatch):
 def test_by_value_copy_must_match_the_receiving_class(make_node):
     """A record at an interface position that names a class registered here
     must be a state copy of that class, and the class must be compatible."""
-    from refbus import NULL
+    from refbus.values import NULL
 
     node = make_node()
     mary = Person("mary", 40)
@@ -475,7 +507,7 @@ def test_marshal_type_mismatches(make_node):
 
 
 def test_marshal_none_is_null_at_reference_positions(make_node):
-    from refbus import NULL
+    from refbus.values import NULL
 
     node = make_node()
     node.policies.set_method_policy("IPerson", "setSpouse", BY_REFERENCE)
@@ -483,7 +515,8 @@ def test_marshal_none_is_null_at_reference_positions(make_node):
 
 
 def test_marshal_list_elementwise_policy(make_node):
-    from refbus import ListOf, VList
+    from refbus import ListOf
+    from refbus.values import VList
 
     node = make_node()
     node.policies.set_method_policy("IPerson", "setSpouse", BY_REFERENCE)
@@ -616,7 +649,7 @@ def test_one_instance_two_interfaces(make_node):
 def test_node_cli_serves_and_stops(capsys):
     from refbus.client import post_call as cli_post
     from refbus.node import main as node_main
-    from refbus import CallEnvelope as Env
+    from refbus.wire import CallEnvelope as Env
 
     seen = {}
 

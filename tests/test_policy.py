@@ -6,14 +6,8 @@ from __future__ import annotations
 import itertools
 import threading
 
-from refbus import (
-    BY_REFERENCE,
-    BY_VALUE,
-    CallOverride,
-    ParamPos,
-    PolicyStore,
-    RETURN,
-)
+from refbus import BY_REFERENCE, BY_VALUE, CallOverride
+from refbus.policy import RETURN, ParamPos, PolicyStore
 
 
 def test_empty_store_defaults_to_by_value():

@@ -1,0 +1,60 @@
+"""The package surface: `import refbus` gives the user-facing API only, and
+everything else is imported from the one submodule that defines it."""
+
+from __future__ import annotations
+
+import importlib
+
+import pytest
+
+import refbus
+
+PUBLIC = {
+    # nodes, the type grammar and descriptors
+    "Node", "Prim", "ListOf", "RecordType", "InterfaceType", "MethodSig",
+    "InterfaceDescriptor", "ClassDescriptor", "ComponentHandle",
+    # transmission policies
+    "BY_VALUE", "BY_REFERENCE", "CallOptions", "CallOverride",
+    # faults and errors
+    "FaultCode", "RefbusError", "FaultError", "UnknownServiceError",
+    "UnknownMethodError", "TypeMismatchError", "BadEnvelopeError",
+    "InternalFaultError", "NameInUseError", "InvalidNameError",
+    "IncompatibleComponentError", "NonInterfaceSignatureError",
+    "UnknownInterfaceError", "NetworkError", "CallTimeout", "ScenarioFailed",
+}
+
+SUBMODULE_ONLY = {
+    "refbus.values": [
+        "NULL", "Ior", "TypeEnvironment", "TypeRef", "Value", "VBool", "VFloat",
+        "VInt", "VList", "VNull", "VRecord", "VRef", "VStr", "type_check",
+        "value_equals",
+    ],
+    "refbus.wire": [
+        "CallEnvelope", "Fault", "ReplyEnvelope", "encode_call", "encode_reply",
+        "encode_value", "decode_call", "decode_reply", "decode_value",
+    ],
+    "refbus.interfaces": ["ClosureViolation", "check_closure", "check_compat", "describe"],
+    "refbus.policy": ["ParamPos", "RETURN", "ReturnPos", "PolicyStore", "TransmissionPolicy"],
+    "refbus.registry": ["Deployment", "ObjectTable", "ProxyTable"],
+    "refbus.client": ["Proxy", "materialize"],
+    "refbus.component": ["snapshot_instance"],
+}
+
+
+def test_all_is_exactly_the_public_api_and_nothing_else_is_bound():
+    assert len(PUBLIC) == 29
+    assert sorted(refbus.__all__) == sorted(PUBLIC)
+    bound = {
+        name
+        for name, value in vars(refbus).items()
+        if not name.startswith("__") and not isinstance(value, type(refbus))
+    }
+    assert bound == PUBLIC
+
+
+@pytest.mark.parametrize("module", sorted(SUBMODULE_ONLY))
+def test_internal_names_import_from_their_submodule_only(module):
+    owner = importlib.import_module(module)
+    for name in SUBMODULE_ONLY[module]:
+        assert hasattr(owner, name), f"{module}.{name}"
+        assert not hasattr(refbus, name), f"refbus.{name}"

@@ -10,12 +10,11 @@ import pytest
 from refbus import (
     ComponentHandle,
     InvalidNameError,
-    Ior,
     NameInUseError,
-    ObjectTable,
-    ProxyTable,
     UnknownServiceError,
 )
+from refbus.registry import ObjectTable, ProxyTable
+from refbus.values import Ior
 from refbus.scenarios import (
     IMATRICULATED,
     INAMED_ENTITY,

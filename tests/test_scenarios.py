@@ -76,7 +76,7 @@ def test_transcript_diff_detects_divergence():
 
 
 def test_run_scenario_raises_on_divergence(monkeypatch):
-    monkeypatch.setitem(SCENARIOS, "figure2-local", lambda ports: ["bogus"])
+    monkeypatch.setitem(SCENARIOS, "figure2-local", lambda: ["bogus"])
     with pytest.raises(ScenarioFailed):
         run_scenario("figure2-local")
 

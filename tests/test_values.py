@@ -6,14 +6,10 @@ import random
 
 import pytest
 
-from refbus import (
+from refbus import InterfaceDescriptor, InterfaceType, ListOf, Prim, RecordType
+from refbus.values import (
     NULL,
-    InterfaceDescriptor,
-    InterfaceType,
     Ior,
-    ListOf,
-    Prim,
-    RecordType,
     TypeEnvironment,
     VBool,
     VFloat,

@@ -6,13 +6,10 @@ import random
 
 import pytest
 
-from refbus import (
+from refbus import BadEnvelopeError, FaultCode
+from refbus.values import (
     NULL,
-    BadEnvelopeError,
-    CallEnvelope,
-    FaultCode,
     Ior,
-    ReplyEnvelope,
     VBool,
     VFloat,
     VInt,
@@ -20,15 +17,23 @@ from refbus import (
     VRecord,
     VRef,
     VStr,
+    value_equals,
+)
+from refbus.wire import (
+    CallEnvelope,
+    ReplyEnvelope,
     decode_call,
     decode_reply,
     decode_value,
     encode_call,
     encode_reply,
     encode_value,
-    value_equals,
 )
 from conftest import random_value
+
+
+def _nested_list(depth: int) -> str:
+    return '{"t":"list","v":[' * depth + "]}" * depth
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +138,8 @@ def test_decode_call_missing_method():
         '{"t":{"a":1}}',
         '{"t":"ref","v":{"host":5,"port":80,"obj":1,"iface":"I"}}',
         '{"t":"ref","v":{"host":"h","port":true,"obj":1,"iface":"I"}}',
+        pytest.param(_nested_list(300), id="list-nested-300"),
+        pytest.param(_nested_list(3000), id="list-nested-3000"),
     ],
 )
 def test_decode_value_rejects_malformed(text):
@@ -149,6 +156,8 @@ def test_decode_value_rejects_malformed(text):
         '{"method":"m","args":[],"extra":1}',
         '{"method":5,"args":[]}',
         '{"method":"m","args":{}}',
+        pytest.param('{"method":"m","args":[' + _nested_list(300) + "]}", id="list-nested-300"),
+        pytest.param('{"method":"m","args":[' + _nested_list(3000) + "]}", id="list-nested-3000"),
     ],
 )
 def test_decode_call_rejects_malformed(text):
@@ -164,6 +173,8 @@ def test_decode_call_rejects_malformed(text):
         '{"fault":{"code":"NOT_A_CODE","message":"x"}}',
         '{"fault":{"code":"INTERNAL"}}',
         '{"fault":{"code":"INTERNAL","message":5}}',
+        pytest.param('{"result":' + _nested_list(300) + "}", id="list-nested-300"),
+        pytest.param('{"result":' + _nested_list(3000) + "}", id="list-nested-3000"),
     ],
 )
 def test_decode_reply_rejects_malformed(text):
