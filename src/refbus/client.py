@@ -11,11 +11,12 @@ duplicated.
 
 from __future__ import annotations
 
+import functools
 import http.client
-import json
 import socket
 from dataclasses import dataclass
 
+from . import codec
 from .errors import (
     BadEnvelopeError,
     CallTimeout,
@@ -36,7 +37,7 @@ from .values import (
     VRef,
     type_check,
 )
-from .wire import CallEnvelope, ReplyEnvelope, decode_reply, encode_call
+from .wire import CallEnvelope, ReplyEnvelope, _decode, decode_reply, encode_call
 
 DEFAULT_TIMEOUT = 30.0
 
@@ -68,12 +69,20 @@ def _http_request(host, port, method, path, body: bytes | None, timeout: float):
         raise NetworkError(f"{method} {host}:{port}{path} failed: {exc}") from exc
 
 
-def post_call(host, port, path, call: CallEnvelope, timeout: float = DEFAULT_TIMEOUT) -> ReplyEnvelope:
-    body = encode_call(call).encode("utf-8")
+def post_call(
+    host, port, path, call: CallEnvelope | str, timeout: float = DEFAULT_TIMEOUT
+) -> ReplyEnvelope | bytes:
+    """Send one call envelope and return the decoded reply envelope.
+
+    Given the call as JSON text, which the compiled codec encodes itself,
+    return the reply body's bytes for the caller to decode.
+    """
+    encoded = isinstance(call, str)
+    body = (call if encoded else encode_call(call)).encode("utf-8")
     status, data = _http_request(host, port, "POST", path, body, timeout)
     if status != 200:
         raise NetworkError(f"POST {host}:{port}{path} returned HTTP {status}")
-    return decode_reply(data)
+    return data if encoded else decode_reply(data)
 
 
 def http_get(host, port, path, timeout: float = DEFAULT_TIMEOUT) -> str:
@@ -110,30 +119,35 @@ class Proxy:
             raise TypeMismatchError(
                 f"{self.iface.name}.{method} takes {len(sig.params)} args, got {len(args)}"
             )
-        wire_args = [
-            self._node.marshal_outbound(
-                arg,
-                sig.params[i],
+        node = self._node
+
+        def marshal_at(i):
+            return functools.partial(
+                node.marshal_outbound,
                 iface_name=self.iface.name,
                 method_name=method,
                 position=ParamPos(i),
                 override=opts.override,
             )
-            for i, arg in enumerate(args)
-        ]
-        reply = post_call(
+
+        data = post_call(
             self.ior.host,
             self.ior.port,
             f"/obj/{self.ior.object_number}",
-            CallEnvelope(method, wire_args),
+            codec.send_call(method, sig.params, args, marshal_at),
             opts.timeout,
         )
-        if reply.fault is not None:
-            raise fault_error(reply.fault.code, reply.fault.message)
-        mismatches = type_check(reply.result, sig.returns, self._node.env)
-        if mismatches:
-            raise TypeMismatchError("result: " + "; ".join(mismatches))
-        return materialize(self._node, reply.result)
+        try:
+            result = codec.receive_result(data, sig.returns, node.env)
+        except codec.Unfit:
+            reply = decode_reply(data)
+            if reply.fault is not None:
+                raise fault_error(reply.fault.code, reply.fault.message)
+            mismatches = type_check(reply.result, sig.returns, node.env)
+            if mismatches:
+                raise TypeMismatchError("result: " + "; ".join(mismatches))
+            return materialize(node, reply.result)
+        return result if codec.plain(sig.returns) else materialize(node, result)
 
     def __getattr__(self, name):
         # Only reached for names not set in __init__.
@@ -191,10 +205,7 @@ def get_component_by_name(node, name, host, port, timeout: float = DEFAULT_TIMEO
     endpoint to resolve itself into a remote reference.
     """
     doc_text = http_get(host, port, f"/{name}?wsdl", timeout)
-    try:
-        doc = json.loads(doc_text)
-    except ValueError as exc:
-        raise BadEnvelopeError(f"descriptor document is not valid JSON: {exc}") from None
+    doc = _decode(doc_text, lambda obj: obj)
     if isinstance(doc, dict) and "fault" in doc:
         reply = decode_reply(doc_text)
         raise fault_error(reply.fault.code, reply.fault.message)

@@ -21,12 +21,14 @@ HTTP itself yields a 400.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs
 
 from . import client as _client
+from . import codec
 from .component import ComponentHandle, snapshot_instance
 from .errors import (
     FaultCode,
@@ -383,8 +385,7 @@ class Node:
 
         if http_method == "POST":
             dep = self._route(segments)
-            reply = self._call(dep, "/" + "/".join(segments), body)
-            return 200, encode_reply(reply)
+            return 200, self._call(dep, "/" + "/".join(segments), body)
 
         return 400, '{"error":"unsupported HTTP method"}'
 
@@ -418,16 +419,38 @@ class Node:
             )
         return json.dumps({"deployments": rows}, separators=(",", ":"))
 
-    def _call(self, dep: Deployment | None, path: str, body: bytes) -> ReplyEnvelope:
-        """Answer one call; the only place an exception becomes a fault."""
+    def _call(self, dep: Deployment | None, path: str, body: bytes) -> str:
+        """Answer one call with reply text; the only place an exception
+        becomes a fault."""
         try:
             if dep is None:
                 raise UnknownServiceError(f"no such service: {path}")
-            return ReplyEnvelope.ok(self._dispatch(dep, decode_call(body)))
+            text = self._fast_call(dep, body)
+            if text is None:
+                text = encode_reply(ReplyEnvelope.ok(self._dispatch(dep, decode_call(body))))
+            return text
         except FaultError as exc:
-            return ReplyEnvelope.fail(exc.code, str(exc))
+            reply = ReplyEnvelope.fail(exc.code, str(exc))
         except Exception as exc:  # total: never let a request kill the node
-            return ReplyEnvelope.fail(FaultCode.INTERNAL, f"{type(exc).__name__}: {exc}")
+            reply = ReplyEnvelope.fail(FaultCode.INTERNAL, f"{type(exc).__name__}: {exc}")
+        return encode_reply(reply)
+
+    def _fast_call(self, dep: Deployment, body: bytes) -> str | None:
+        """Reply text through the compiled codec; None, before any side
+        effect, when it declines the body and _dispatch must answer."""
+        try:
+            sig, staged = codec.receive_call(body, dep.iface, self.env)
+        except codec.Unfit:
+            return None
+        args = [
+            v if codec.plain(t) else _client.materialize(self, v)
+            for v, t in zip(staged, sig.params)
+        ]
+        result = self._invoke(dep, sig.name, args)
+        marshal = functools.partial(
+            self.marshal_outbound, iface_name=dep.iface.name, method_name=sig.name, position=RETURN
+        )
+        return codec.send_result(result, sig.returns, marshal)
 
     def _dispatch(self, dep: Deployment, call: CallEnvelope) -> Value:
         if call.method in RESERVED_METHODS:
@@ -452,15 +475,7 @@ class Node:
             raise TypeMismatchError("; ".join(mismatches))
 
         local_args = [_client.materialize(self, arg) for arg in call.args]
-        try:
-            if dep.component.reentrant:
-                result = dep.component.invoke(call.method, local_args)
-            else:
-                with dep.component.lock:
-                    result = dep.component.invoke(call.method, local_args)
-        except Exception as exc:  # a component's FaultError is INTERNAL too
-            raise InternalFaultError(f"{type(exc).__name__}: {exc}") from exc
-
+        result = self._invoke(dep, call.method, local_args)
         return self.marshal_outbound(
             result,
             sig.returns,
@@ -468,6 +483,15 @@ class Node:
             method_name=call.method,
             position=RETURN,
         )
+
+    def _invoke(self, dep: Deployment, method: str, args: list):
+        try:
+            if dep.component.reentrant:
+                return dep.component.invoke(method, args)
+            with dep.component.lock:
+                return dep.component.invoke(method, args)
+        except Exception as exc:  # a component's FaultError is INTERNAL too
+            raise InternalFaultError(f"{type(exc).__name__}: {exc}") from exc
 
 
 def _make_handler(node: Node):

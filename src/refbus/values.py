@@ -87,6 +87,15 @@ class VFloat:
             raise ValueError("VFloat must be finite (no NaN or infinity)")
 
 
+def is_text(s: str) -> bool:
+    """Whether a str is valid Unicode text, which UTF-8 can encode: no lone surrogates."""
+    try:
+        s.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class VStr:
     value: str
@@ -94,6 +103,8 @@ class VStr:
     def __post_init__(self):
         if not isinstance(self.value, str):
             raise ValueError(f"VStr requires a str, got {type(self.value).__name__}")
+        if not is_text(self.value):
+            raise ValueError("VStr must be valid Unicode text (no lone surrogates)")
 
 
 @dataclass(frozen=True)

@@ -66,8 +66,15 @@ class ReplyEnvelope:
         return cls(fault=Fault(code, message))
 
 
+# Every container reaching it is built fresh by an encoder, so it holds no
+# cycle, and the check for one would only cost time on large lists.
+_ENCODER = json.JSONEncoder(
+    separators=(",", ":"), ensure_ascii=False, allow_nan=False, check_circular=False
+)
+
+
 def _dumps(obj: Any) -> str:
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False, allow_nan=False)
+    return _ENCODER.encode(obj)
 
 
 def _value_obj(v: Value) -> dict:

@@ -3,7 +3,10 @@ references, and call options."""
 
 from __future__ import annotations
 
+import contextlib
+import threading
 import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -122,11 +125,10 @@ def test_get_component_by_name_network_error():
         probe.stop()
 
 
-def test_non_utf8_reply_body_is_bad_envelope():
-    """A 200 reply whose body is not UTF-8 raises BadEnvelopeError, from
-    post_call and http_get alike, never a bare UnicodeDecodeError."""
-    import threading
-    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+@contextlib.contextmanager
+def _stub_server(body: bytes):
+    """A local HTTP server answering every GET and POST with 200 and ``body``;
+    yields its port."""
 
     class Stub(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
@@ -137,9 +139,9 @@ def test_non_utf8_reply_body_is_bad_envelope():
         def _reply(self):
             self.rfile.read(int(self.headers.get("Content-Length", "0")))
             self.send_response(200)
-            self.send_header("Content-Length", "1")
+            self.send_header("Content-Length", str(len(body)))
             self.end_headers()
-            self.wfile.write(b"\xff")
+            self.wfile.write(body)
 
         do_GET = do_POST = _reply
 
@@ -147,16 +149,30 @@ def test_non_utf8_reply_body_is_bad_envelope():
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        port = server.server_port
-        with pytest.raises(BadEnvelopeError):
-            post_call("127.0.0.1", port, "/x", CallEnvelope("m"), timeout=5)
-        with pytest.raises(BadEnvelopeError):
-            http_get("127.0.0.1", port, "/x?wsdl", timeout=5)
+        yield server.server_port
     finally:
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
     assert not thread.is_alive()
+
+
+def test_get_component_by_name_deeply_nested_descriptor_is_bad_envelope():
+    node = Node()
+    register_demo_types(node)
+    with _stub_server(b"[" * 100000) as port:
+        with pytest.raises(BadEnvelopeError):
+            node.get_component_by_name("bob", "127.0.0.1", port, timeout=5)
+
+
+def test_non_utf8_reply_body_is_bad_envelope():
+    """A 200 reply whose body is not UTF-8 raises BadEnvelopeError, from
+    post_call and http_get alike, never a bare UnicodeDecodeError."""
+    with _stub_server(b"\xff") as port:
+        with pytest.raises(BadEnvelopeError):
+            post_call("127.0.0.1", port, "/x", CallEnvelope("m"), timeout=5)
+        with pytest.raises(BadEnvelopeError):
+            http_get("127.0.0.1", port, "/x?wsdl", timeout=5)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +239,20 @@ def test_unrepresentable_numbers_fault_before_sending(make_node, monkeypatch):
         proxy.put(2**70)
     with pytest.raises(TypeMismatchError):
         proxy.putf(float("nan"))
+    assert sent == []
+
+
+def test_lone_surrogate_argument_faults_before_sending(make_node, monkeypatch):
+    import refbus.client
+
+    sent = []
+    monkeypatch.setattr(refbus.client, "post_call", lambda *args: sent.append(args))
+    inames = InterfaceDescriptor("INames", [MethodSig("setName", (Prim.STR,), Prim.NULL)])
+    node = make_node()
+    node.register_interface(inames)
+    proxy = node.proxy_for_ior(Ior(node.host, node.port, 0, "INames"))
+    with pytest.raises(TypeMismatchError):
+        proxy.setName("\udc80")
     assert sent == []
 
 

@@ -98,3 +98,8 @@ def test_snapshot_rejects_state_type_mismatch():
 def test_snapshot_rejects_out_of_range_int():
     with pytest.raises(InternalFaultError):
         snapshot_instance(Person("X", 2**70), PERSON_CLASS)
+
+
+def test_snapshot_rejects_lone_surrogate():
+    with pytest.raises(InternalFaultError):
+        snapshot_instance(Person("\ud800", 3), PERSON_CLASS)

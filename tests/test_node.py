@@ -14,6 +14,7 @@ from refbus import (
     BY_REFERENCE,
     BY_VALUE,
     CallOverride,
+    ClassDescriptor,
     ComponentHandle,
     FaultCode,
     IncompatibleComponentError,
@@ -206,6 +207,42 @@ def test_unrepresentable_result_faults_type_mismatch(make_node):
     node.deploy("IPerson", Person("huge", 2**70), "huge")
     reply = _call(node, "/huge", "getAge")
     assert reply.fault.code is FaultCode.TYPE_MISMATCH
+
+
+def test_lone_surrogate_result_faults_type_mismatch(make_node):
+    node = make_node()
+    node.deploy("INamedEntity", Student("\ud800", 1), "bad")
+    reply = _call(node, "/bad", "getName")
+    assert reply.fault.code is FaultCode.TYPE_MISMATCH
+
+
+def test_lone_surrogate_argument_faults_bad_envelope(make_node):
+    """A str argument must be valid Unicode text; the component keeps its
+    name and the node keeps answering."""
+
+    class Namer:
+        def __init__(self):
+            self.name = "ok"
+
+        def setName(self, name):
+            self.name = name
+
+        def getName(self):
+            return self.name
+
+    iface = InterfaceDescriptor(
+        "INamer",
+        [MethodSig("setName", (Prim.STR,), Prim.NULL), MethodSig("getName", (), Prim.STR)],
+    )
+    node = make_node()
+    node.register_interface(iface)
+    handle = ComponentHandle(Namer(), ClassDescriptor("Namer", methods=iface.methods))
+    node.deploy(iface, handle, "namer")
+    body = rb'{"method":"setName","args":[{"t":"str","v":"\ud800"}]}'
+    status, text = node.handle_request("POST", "/namer", "", body)
+    assert status == 200
+    assert decode_reply(text).fault.code is FaultCode.BAD_ENVELOPE
+    assert _call(node, "/namer", "getName").result == VStr("ok")
 
 
 def test_component_exception_becomes_internal_fault(make_node):

@@ -140,6 +140,7 @@ def test_decode_call_missing_method():
         '{"t":"ref","v":{"host":"h","port":true,"obj":1,"iface":"I"}}',
         pytest.param(_nested_list(300), id="list-nested-300"),
         pytest.param(_nested_list(3000), id="list-nested-3000"),
+        pytest.param(r'{"t":"str","v":"\ud800"}', id="str-lone-surrogate"),
     ],
 )
 def test_decode_value_rejects_malformed(text):
@@ -158,6 +159,7 @@ def test_decode_value_rejects_malformed(text):
         '{"method":"m","args":{}}',
         pytest.param('{"method":"m","args":[' + _nested_list(300) + "]}", id="list-nested-300"),
         pytest.param('{"method":"m","args":[' + _nested_list(3000) + "]}", id="list-nested-3000"),
+        pytest.param(r'{"method":"m","args":[{"t":"str","v":"\udc80"}]}', id="str-lone-surrogate"),
     ],
 )
 def test_decode_call_rejects_malformed(text):
@@ -175,6 +177,7 @@ def test_decode_call_rejects_malformed(text):
         '{"fault":{"code":"INTERNAL","message":5}}',
         pytest.param('{"result":' + _nested_list(300) + "}", id="list-nested-300"),
         pytest.param('{"result":' + _nested_list(3000) + "}", id="list-nested-3000"),
+        pytest.param(r'{"result":{"t":"str","v":"\ud800"}}', id="str-lone-surrogate"),
     ],
 )
 def test_decode_reply_rejects_malformed(text):
