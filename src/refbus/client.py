@@ -28,6 +28,7 @@ from .errors import (
 )
 from .interfaces import RESOLVE_METHOD, InterfaceDescriptor
 from .policy import CallOverride, ParamPos
+from .registry import validate_name
 from .values import (
     SCALAR_TAG_BY_CLASS,
     Value,
@@ -35,9 +36,9 @@ from .values import (
     VNull,
     VRecord,
     VRef,
-    type_check,
+    type_check,  # unused here; bench/tracer.py patches refbus.client.type_check
 )
-from .wire import CallEnvelope, ReplyEnvelope, _decode, decode_reply, encode_call
+from .wire import CallEnvelope, ReplyEnvelope, _decode, _reply_shape, decode_reply, encode_call
 
 DEFAULT_TIMEOUT = 30.0
 
@@ -137,17 +138,15 @@ class Proxy:
             codec.send_call(method, sig.params, args, marshal_at),
             opts.timeout,
         )
-        try:
-            result = codec.receive_result(data, sig.returns, node.env)
-        except codec.Unfit:
-            reply = decode_reply(data)
-            if reply.fault is not None:
-                raise fault_error(reply.fault.code, reply.fault.message)
-            mismatches = type_check(reply.result, sig.returns, node.env)
-            if mismatches:
-                raise TypeMismatchError("result: " + "; ".join(mismatches))
-            return materialize(node, reply.result)
-        return result if codec.plain(sig.returns) else materialize(node, result)
+        result, fault = _decode(data, _reply_shape)
+        if fault is not None:
+            raise fault_error(fault.code, fault.message)
+        (result,), misfits = codec.receive(
+            [result], [sig.returns], node.env, "$.result", functools.partial(materialize, node)
+        )
+        if misfits:
+            raise TypeMismatchError("result: " + "; ".join(misfits[0][1]))
+        return result
 
     def __getattr__(self, name):
         # Only reached for names not set in __init__.
@@ -204,11 +203,11 @@ def get_component_by_name(node, name, host, port, timeout: float = DEFAULT_TIMEO
     Fetches the deployment's descriptor document, then asks the named
     endpoint to resolve itself into a remote reference.
     """
-    doc_text = http_get(host, port, f"/{name}?wsdl", timeout)
-    doc = _decode(doc_text, lambda obj: obj)
+    validate_name(name)
+    doc = _decode(http_get(host, port, f"/{name}?wsdl", timeout), lambda obj: obj)
     if isinstance(doc, dict) and "fault" in doc:
-        reply = decode_reply(doc_text)
-        raise fault_error(reply.fault.code, reply.fault.message)
+        _, fault = _reply_shape(doc)
+        raise fault_error(fault.code, fault.message)
     if not isinstance(doc, dict) or "interface" not in doc:
         raise BadEnvelopeError("descriptor document missing interface name")
 

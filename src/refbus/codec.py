@@ -8,14 +8,15 @@ pass what the V* path does in several: ``wire._parse_value``,
 and ``wire._value_obj`` outbound. The text it encodes is byte-identical to
 the V* path's.
 
-The compiled path is only a fast way to succeed. Receiving raises ``Unfit``
-at anything unusual, and the caller then runs the V* path on the same body,
-which produces the fault. An encoder hands any value that is not exactly a
-built-in scalar, list or tuple to the caller's ``marshal``, which runs the
-V* path for that position. Record and interface positions have no compiled
-form: they always take the V* path, so policies, deploys, unproxying and
-snapshots keep one implementation each. Nothing compiled captures a node
-or its type environment.
+The choice is made per signature position, after ``wire`` has checked the
+envelope. A compiled decoder is only a fast way to succeed: at anything
+unusual it declines, and ``receive`` runs the V* path on that one
+position, which produces the fault. An encoder hands any value that is not
+exactly a built-in scalar, list or tuple to the caller's ``marshal``,
+which runs the V* path for that position. Record and interface positions
+have no compiled form: they always take the V* path, so policies,
+deploys, unproxying and snapshots keep one implementation each. Nothing
+compiled captures a node or its type environment.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import functools
 import math
 from typing import Any, Callable
 
-from .errors import BadEnvelopeError
 from .values import (
     I64_MAX,
     I64_MIN,
@@ -37,14 +37,14 @@ from .values import (
     is_text,
     type_check,
 )
-from .wire import _dumps, _loads, _parse_value, _value_obj
+from .wire import _dumps, _parse_value, _value_obj, _walk
 
 # marshal(value, declared) -> the Value the V* path sends for one position
 Marshal = Callable[[Any, TypeRef], Value]
 
 
-class Unfit(Exception):
-    """The compiled codec declines a body; the V* path must answer it."""
+class _Unfit(Exception):
+    """A compiled decoder declines a value; the V* path must answer it."""
 
 
 _MISSING = object()  # stands for an absent "v" key; its type fits no scalar
@@ -69,9 +69,9 @@ def _accept(prim: Prim, payloads: list) -> list:
         try:  # VFloat takes a JSON integer too
             payloads = [float(v) if type(v) is int else v for v in payloads]
         except OverflowError:
-            raise Unfit from None
+            raise _Unfit from None
     if not _fits(prim, payloads):
-        raise Unfit
+        raise _Unfit
     return payloads
 
 
@@ -80,13 +80,13 @@ def _payload(obj, tag: str):
         payload = obj.get("v", _MISSING)
         if payload is not _MISSING:
             return payload
-    raise Unfit
+    raise _Unfit
 
 
 def _decode_null(obj):
     if type(obj) is dict and len(obj) == 1 and obj.get("t") == "null":
         return None
-    raise Unfit
+    raise _Unfit
 
 
 def _encode_null(x, marshal: Marshal):
@@ -115,7 +115,7 @@ def _list_codec(t: ListOf, decode_elem, encode_elem):
     def decode(obj):
         items = _payload(obj, "list")
         if type(items) is not list:
-            raise Unfit
+            raise _Unfit
         if prim is None:
             return [decode_elem(item) for item in items]
         payloads = [
@@ -124,7 +124,7 @@ def _list_codec(t: ListOf, decode_elem, encode_elem):
             if type(item) is dict and len(item) == 2 and item.get("t") == tag
         ]
         if len(payloads) != len(items):
-            raise Unfit
+            raise _Unfit
         return _accept(prim, payloads)
 
     def encode(x, marshal: Marshal):
@@ -152,52 +152,36 @@ def compile_type(t: TypeRef):
     return None
 
 
-def plain(t: TypeRef) -> bool:
-    return compile_type(t) is not None
+def receive(
+    objs: list, types, env: TypeEnvironment, path: str, materialize: Callable[[Value], Any]
+) -> tuple[list, list]:
+    """(values, misfits) of the parsed JSON values at signature positions.
 
-
-def _receive(obj, t: TypeRef, env: TypeEnvironment):
-    compiled = compile_type(t)
-    if compiled is not None:
-        return compiled[0](obj)
-    v = _parse_value(obj, "$")
-    if type_check(v, t, env):
-        raise Unfit
-    return v
-
-
-def receive_call(body, iface, env: TypeEnvironment) -> tuple:
-    """(MethodSig, staged args) of a call body, or Unfit.
-
-    Free of side effects. A plain argument is staged as its Python value, a
-    record or interface argument as its checked Value, which the caller
-    materializes once every argument has passed.
+    Each position runs its compiled decoder. Where that declines, or the
+    type has none, ``wire._parse_value`` parses the position at
+    ``path.format(i)``, so BadEnvelopeError leaves at the first position
+    that does not parse, and ``type_check`` adds ``(i, mismatches)`` to
+    misfits. Only when there are no misfits are the parsed positions
+    materialized into values.
     """
-    try:
-        call = _loads(body)
-        if type(call) is not dict or len(call) != 2:
-            raise Unfit
-        method, args = call.get("method"), call.get("args")
-        if type(method) is not str or type(args) is not list:
-            raise Unfit
-        sig = iface.method(method)  # None for a reserved or unknown method
-        if sig is None or len(args) != len(sig.params):
-            raise Unfit
-        return sig, [_receive(a, t, env) for a, t in zip(args, sig.params)]
-    except (BadEnvelopeError, RecursionError):
-        raise Unfit from None
-
-
-def receive_result(data, t: TypeRef, env: TypeEnvironment):
-    """The staged result of a reply body, as ``receive_call`` stages an
-    argument; Unfit for a fault or anything unusual."""
-    try:
-        reply = _loads(data)
-        if type(reply) is not dict or len(reply) != 1 or "result" not in reply:
-            raise Unfit
-        return _receive(reply["result"], t, env)
-    except (BadEnvelopeError, RecursionError):
-        raise Unfit from None
+    values, parsed, misfits = [], [], []
+    for i, (obj, t) in enumerate(zip(objs, types)):
+        compiled = compile_type(t)
+        if compiled is not None:
+            try:
+                values.append(compiled[0](obj))
+                continue
+            except (_Unfit, RecursionError):
+                pass
+        v = _walk(_parse_value, obj, path.format(i))
+        if mismatches := type_check(v, t, env):
+            misfits.append((i, mismatches))
+        parsed.append(i)
+        values.append(v)
+    if not misfits:
+        for i in parsed:
+            values[i] = materialize(values[i])
+    return values, misfits
 
 
 def _send(x, t: TypeRef, marshal: Marshal):

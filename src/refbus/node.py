@@ -72,7 +72,9 @@ from .values import (
     type_check,
     typeref_name,
 )
-from .wire import CallEnvelope, ReplyEnvelope, decode_call, encode_reply
+from .wire import CallEnvelope, ReplyEnvelope, encode_reply
+from .wire import _call_shape, _decode, _parse_args, _walk
+from .wire import decode_call  # unused here; bench/tracer.py patches refbus.node.decode_call
 
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
@@ -425,64 +427,44 @@ class Node:
         try:
             if dep is None:
                 raise UnknownServiceError(f"no such service: {path}")
-            text = self._fast_call(dep, body)
-            if text is None:
-                text = encode_reply(ReplyEnvelope.ok(self._dispatch(dep, decode_call(body))))
-            return text
+            method, args = _decode(body, _call_shape)
+            sig = dep.iface.method(method)  # None for a reserved or unknown method
+            if sig is None or len(args) != len(sig.params):
+                result = self._dispatch(dep, method, _walk(_parse_args, args))
+                return encode_reply(ReplyEnvelope.ok(result))
+            args, misfits = codec.receive(
+                args, sig.params, self.env, "$.args[{}]",
+                functools.partial(_client.materialize, self),
+            )
+            if misfits:
+                raise TypeMismatchError("; ".join(f"arg {i} {m}" for i, ms in misfits for m in ms))
+            result = self._invoke(dep, method, args)
+            marshal = functools.partial(
+                self.marshal_outbound, iface_name=dep.iface.name, method_name=method, position=RETURN
+            )
+            return codec.send_result(result, sig.returns, marshal)
         except FaultError as exc:
-            reply = ReplyEnvelope.fail(exc.code, str(exc))
+            code, message = exc.code, str(exc)
         except Exception as exc:  # total: never let a request kill the node
-            reply = ReplyEnvelope.fail(FaultCode.INTERNAL, f"{type(exc).__name__}: {exc}")
-        return encode_reply(reply)
+            code, message = FaultCode.INTERNAL, f"{type(exc).__name__}: {exc}"
+        # A lone surrogate from the body, as in a method or field name, has
+        # no UTF-8 form; escaped, the reply can still be sent.
+        message = message.encode("utf-8", "backslashreplace").decode("utf-8")
+        return encode_reply(ReplyEnvelope.fail(code, message))
 
-    def _fast_call(self, dep: Deployment, body: bytes) -> str | None:
-        """Reply text through the compiled codec; None, before any side
-        effect, when it declines the body and _dispatch must answer."""
-        try:
-            sig, staged = codec.receive_call(body, dep.iface, self.env)
-        except codec.Unfit:
-            return None
-        args = [
-            v if codec.plain(t) else _client.materialize(self, v)
-            for v, t in zip(staged, sig.params)
-        ]
-        result = self._invoke(dep, sig.name, args)
-        marshal = functools.partial(
-            self.marshal_outbound, iface_name=dep.iface.name, method_name=sig.name, position=RETURN
-        )
-        return codec.send_result(result, sig.returns, marshal)
-
-    def _dispatch(self, dep: Deployment, call: CallEnvelope) -> Value:
-        if call.method in RESERVED_METHODS:
-            if call.args:
-                raise TypeMismatchError(f"{call.method} takes no arguments")
-            if call.method == RESOLVE_METHOD:
+    def _dispatch(self, dep: Deployment, method: str, args: list[Value]) -> Value:
+        """Answer a call that no signature of the interface takes: a
+        reserved method, or else a fault."""
+        if method in RESERVED_METHODS:
+            if args:
+                raise TypeMismatchError(f"{method} takes no arguments")
+            if method == RESOLVE_METHOD:
                 return VRef(self.table.export(dep.component, dep.iface, self._host, self._port))
             return snapshot_instance(dep.component.instance, dep.component.class_descriptor)
-
-        sig = dep.iface.method(call.method)
+        sig = dep.iface.method(method)
         if sig is None:
-            raise UnknownMethodError(f"no such method: {call.method}")
-        if len(call.args) != len(sig.params):
-            raise TypeMismatchError(
-                f"{call.method} takes {len(sig.params)} args, got {len(call.args)}"
-            )
-        mismatches = []
-        for i, (arg, declared) in enumerate(zip(call.args, sig.params)):
-            for m in type_check(arg, declared, self.env):
-                mismatches.append(f"arg {i} {m}")
-        if mismatches:
-            raise TypeMismatchError("; ".join(mismatches))
-
-        local_args = [_client.materialize(self, arg) for arg in call.args]
-        result = self._invoke(dep, call.method, local_args)
-        return self.marshal_outbound(
-            result,
-            sig.returns,
-            iface_name=dep.iface.name,
-            method_name=call.method,
-            position=RETURN,
-        )
+            raise UnknownMethodError(f"no such method: {method}")
+        raise TypeMismatchError(f"{method} takes {len(sig.params)} args, got {len(args)}")
 
     def _invoke(self, dep: Deployment, method: str, args: list):
         try:

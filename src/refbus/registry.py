@@ -28,10 +28,14 @@ class Deployment:
 
 
 def validate_name(name: str):
+    """A deployment name is its URL path segment as it is: printable ASCII
+    without spaces, '/' or '?'."""
     if not name:
         raise InvalidNameError("deployment name must be non-empty")
-    if "/" in name or "?" in name:
-        raise InvalidNameError(f"deployment name may not contain '/' or '?': {name!r}")
+    if not all("!" <= c <= "~" for c in name) or "/" in name or "?" in name:
+        raise InvalidNameError(
+            f"deployment name must be printable ASCII without spaces, '/' or '?': {name!r}"
+        )
 
 
 class ObjectTable:

@@ -191,16 +191,18 @@ def _parse_value(obj: Any, path: str) -> Value:
     raise BadEnvelopeError(f"{path}: unknown value tag {tag!r}")
 
 
-def _decode(text: str, parse):
-    """Parse JSON text, then its object with ``parse``.
-
-    Nesting too deep for either step (json.loads or the recursive walkers)
-    is a malformed envelope, not an internal error.
-    """
+def _walk(parse, *args):
+    """parse(*args), where nesting too deep for json.loads or the recursive
+    walkers is a malformed envelope, not an internal error."""
     try:
-        return parse(_loads(text))
+        return parse(*args)
     except RecursionError:
         raise BadEnvelopeError("value nesting too deep") from None
+
+
+def _decode(text: str, parse):
+    """Parse JSON text, then its object with ``parse``."""
+    return _walk(lambda: parse(_loads(text)))
 
 
 def decode_value(text: str) -> Value:
@@ -215,7 +217,8 @@ def decode_reply(text: str) -> ReplyEnvelope:
     return _decode(text, _parse_reply)
 
 
-def _parse_call(obj: Any) -> CallEnvelope:
+def _call_shape(obj: Any) -> tuple[str, list]:
+    """The method and the unparsed args of a call object."""
     if not isinstance(obj, dict):
         raise BadEnvelopeError("call must be an object")
     _require_keys(obj, {"method", "args"}, "call", "$")
@@ -224,15 +227,24 @@ def _parse_call(obj: Any) -> CallEnvelope:
         raise BadEnvelopeError("call method must be a non-empty string")
     if not isinstance(obj["args"], list):
         raise BadEnvelopeError("call args must be an array")
-    args = [_parse_value(a, f"$.args[{i}]") for i, a in enumerate(obj["args"])]
-    return CallEnvelope(method, args)
+    return method, obj["args"]
 
 
-def _parse_reply(obj: Any) -> ReplyEnvelope:
+def _parse_args(args: list) -> list[Value]:
+    return [_parse_value(a, f"$.args[{i}]") for i, a in enumerate(args)]
+
+
+def _parse_call(obj: Any) -> CallEnvelope:
+    method, args = _call_shape(obj)
+    return CallEnvelope(method, _parse_args(args))
+
+
+def _reply_shape(obj: Any) -> tuple[Any, Fault | None]:
+    """The unparsed result of a reply object, or its fault."""
     if not isinstance(obj, dict):
         raise BadEnvelopeError("reply must be an object")
     if set(obj.keys()) == {"result"}:
-        return ReplyEnvelope.ok(_parse_value(obj["result"], "$.result"))
+        return obj["result"], None
     if set(obj.keys()) == {"fault"}:
         fault = obj["fault"]
         if not isinstance(fault, dict):
@@ -244,5 +256,12 @@ def _parse_reply(obj: Any) -> ReplyEnvelope:
             raise BadEnvelopeError(f"unknown fault code {fault['code']!r}") from None
         if not isinstance(fault["message"], str):
             raise BadEnvelopeError("fault message must be a string")
-        return ReplyEnvelope.fail(code, fault["message"])
+        return None, Fault(code, fault["message"])
     raise BadEnvelopeError("reply must carry exactly one of result or fault")
+
+
+def _parse_reply(obj: Any) -> ReplyEnvelope:
+    result, fault = _reply_shape(obj)
+    if fault is not None:
+        return ReplyEnvelope(fault=fault)
+    return ReplyEnvelope.ok(_parse_value(result, "$.result"))

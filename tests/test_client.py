@@ -10,6 +10,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+import refbus.client
 from refbus import (
     BY_REFERENCE,
     BY_VALUE,
@@ -21,6 +22,7 @@ from refbus import (
     ComponentHandle,
     InterfaceDescriptor,
     InterfaceType,
+    InvalidNameError,
     MethodSig,
     NetworkError,
     Node,
@@ -123,6 +125,15 @@ def test_get_component_by_name_network_error():
             probe.get_component_by_name("bob", "127.0.0.1", dead_port, timeout=2)
     finally:
         probe.stop()
+
+
+def test_get_component_by_name_rejects_unreachable_name_before_io(monkeypatch):
+    def no_io(*args):
+        raise AssertionError("a name no URL can carry reached the network")
+
+    monkeypatch.setattr(refbus.client, "_http_request", no_io)
+    with pytest.raises(InvalidNameError):
+        Node().get_component_by_name("my comp", "127.0.0.1", 1)
 
 
 @contextlib.contextmanager

@@ -24,15 +24,16 @@ import refbus.client
 from refbus import (
     BY_REFERENCE,
     BY_VALUE,
+    BadEnvelopeError,
     CallOverride,
     ClassDescriptor,
     ComponentHandle,
     FaultCode,
     InterfaceDescriptor,
     InterfaceType,
+    InternalFaultError,
     ListOf,
     MethodSig,
-    Node,
     Prim,
     RecordType,
     TypeMismatchError,
@@ -179,10 +180,6 @@ def _refuse(value, declared):
     raise AssertionError(f"compiled encoder handed {value!r} at {declared} to the V* path")
 
 
-def _unfit(*args):
-    raise codec.Unfit
-
-
 @pytest.fixture
 def world(make_node):
     node = make_node(demo=False)
@@ -204,7 +201,7 @@ def test_compiled_codec_matches_the_value_path(world, monkeypatch):
         taker.received.clear()
         with monkeypatch.context() as m:
             if not fast:
-                m.setattr(Node, "_fast_call", lambda self, dep, body: None)
+                m.setattr(codec, "compile_type", lambda t: None)
             _, text = node.handle_request("POST", path, "", body)
         return text, list(taker.received)
 
@@ -212,12 +209,13 @@ def test_compiled_codec_matches_the_value_path(world, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(refbus.client, "post_call", lambda *args: reply)
             if not fast:
-                m.setattr(codec, "receive_result", _unfit)
+                m.setattr(codec, "compile_type", lambda t: None)
             return outcome(lambda: proxy.invoke("take", [arg]))
 
     for n in range(160):
         t = rand_type(rng)
-        plain = codec.plain(t)
+        compiled = codec.compile_type(t)
+        plain = compiled is not None
         iface = InterfaceDescriptor(f"ITake{n}", [MethodSig("take", (t,), t)])
         node.register_interface(iface)
         node.policies.set_method_policy(iface.name, "take", BY_REFERENCE)
@@ -271,11 +269,10 @@ def test_compiled_codec_matches_the_value_path(world, monkeypatch):
                 same(fast[1], oracle[1]) if fast[0] == "ok" else fast == oracle
             ), (t, obj)
             seen[f"{kind} {'ok' if fast_got else 'fault'}"] += 1
-            # at a plain type, the compiled path takes whatever the V* path takes
-            if plain and oracle_got:
-                codec.receive_call(body, iface, node.env)
-            if plain and oracle[0] == "ok":
-                codec.receive_result(reply, t, node.env)
+            # at a plain type, the compiled decoder takes whatever the V* path
+            # takes; it raises where it declines
+            if plain and (oracle_got or oracle[0] == "ok"):
+                compiled[0](obj)
 
     # both outcomes occur often enough for the comparison to mean something
     assert seen["well-typed ok"] == 160
@@ -288,36 +285,190 @@ class Pair:
         return numbers
 
 
+def _fault(code: str, message: str) -> str:
+    return json.dumps({"fault": {"code": code, "message": message}}, separators=(",", ":"))
+
+
+_NUMBERS, _NAME = '{"t":"list","v":[{"t":"i64","v":1}]}', '{"t":"str","v":"n"}'
+_KEYS = "$: call must have exactly keys ['args', 'method'], got "
+# (body, reply text), the replies as the whole-body V* path gave them
+_ENVELOPE_REPLIES = [
+    ("", _fault("BAD_ENVELOPE", "invalid JSON: Expecting value: line 1 column 1 (char 0)")),
+    ("[]", _fault("BAD_ENVELOPE", "call must be an object")),
+    ("{}", _fault("BAD_ENVELOPE", _KEYS + "[]")),
+    ('{"method":"take"}', _fault("BAD_ENVELOPE", _KEYS + "['method']")),
+    ('{"method":"take","args":{}}', _fault("BAD_ENVELOPE", "call args must be an array")),
+    (
+        '{"method":"take","args":[' + _NUMBERS + "," + _NAME + '],"x":1}',
+        _fault("BAD_ENVELOPE", _KEYS + "['args', 'method', 'x']"),
+    ),
+    (
+        '{"method":["take"],"args":[' + _NUMBERS + "," + _NAME + "]}",
+        _fault("BAD_ENVELOPE", "call method must be a non-empty string"),
+    ),
+    ('{"method":"nope","args":[]}', _fault("UNKNOWN_METHOD", "no such method: nope")),
+    (
+        '{"method":"take","args":[' + _NUMBERS + "]}",
+        _fault("TYPE_MISMATCH", "take takes 2 args, got 1"),
+    ),
+    (
+        '{"method":"take","args":[' + _NAME + "," + _NAME + "]}",
+        _fault("TYPE_MISMATCH", "arg 0 $: expected list<i64>, got str"),
+    ),
+    (
+        '{"method":"take","args":[' + _NAME + r',{"t":"str","v":"\ud800"}]}',
+        _fault("BAD_ENVELOPE", "$.args[1]: VStr must be valid Unicode text (no lone surrogates)"),
+    ),
+    (
+        '{"method":"take","args":[' + _NAME + ',{"t":"str","v":"n","x":1}]}',
+        _fault(
+            "BAD_ENVELOPE",
+            "$.args[1]: str value must have exactly keys ['t', 'v'], got ['t', 'v', 'x']",
+        ),
+    ),
+    (
+        '{"method":"take","args":[' + _NAME + "," + _NUMBERS + "]}",
+        _fault(
+            "TYPE_MISMATCH",
+            "arg 0 $: expected list<i64>, got str; arg 1 $: expected str, got list",
+        ),
+    ),
+    ('{"method":"__snapshot","args":[]}', '{"result":{"t":"rec","type":"Pair","v":{}}}'),
+    (
+        '{"method":"__resolve","args":[1]}',
+        _fault("BAD_ENVELOPE", "$.args[0]: value must be a tagged object"),
+    ),
+]
+
+
 def test_envelope_faults_match_the_value_path(world, monkeypatch):
-    """Bodies the compiled codec declines answer as the V* path does,
-    BAD_ENVELOPE in a later argument beating TYPE_MISMATCH in an earlier one."""
+    """Envelope and argument faults keep their texts, BAD_ENVELOPE in a
+    later argument beating TYPE_MISMATCH in an earlier one. The texts are
+    pinned, since the compiled and V* paths share the envelope code."""
     node, _, _ = world
+    _pair_proxy(node)
+    for body, reply in _ENVELOPE_REPLIES:
+        assert node.handle_request("POST", "/pair", "", body.encode()) == (200, reply), body
+        with monkeypatch.context() as m:
+            m.setattr(codec, "compile_type", lambda t: None)
+            assert node.handle_request("POST", "/pair", "", body.encode()) == (200, reply), body
+
+
+# (reply, outcome of take([1], "n") on IPair), as the whole-reply V* path gave them
+_REPLY_OUTCOMES = [
+    ('{"result":' + _NUMBERS + "}", ("ok", [1])),
+    (
+        '{"result":{"t":"list","v":[{"t":"str","v":"a"},{"t":"str","v":"b"}]}}',
+        (
+            "raised", TypeMismatchError,
+            "result: $[0]: expected i64, got str; $[1]: expected i64, got str",
+        ),
+    ),
+    (
+        '{"result":{"t":"list","v":[{"t":"i64"}]}}',
+        (
+            "raised", BadEnvelopeError,
+            "$.result[0]: i64 value must have exactly keys ['t', 'v'], got ['t']",
+        ),
+    ),
+    ('{"fault":{"code":"INTERNAL","message":"m"}}', ("raised", InternalFaultError, "m")),
+    (
+        '{"fault":{"code":"NOPE","message":"m"}}',
+        ("raised", BadEnvelopeError, "unknown fault code 'NOPE'"),
+    ),
+    (
+        '{"result":1,"fault":1}',
+        ("raised", BadEnvelopeError, "reply must carry exactly one of result or fault"),
+    ),
+    ("[]", ("raised", BadEnvelopeError, "reply must be an object")),
+]
+
+
+def _pair_proxy(node):
     sig = MethodSig("take", (ListOf(Prim.I64), Prim.STR), ListOf(Prim.I64))
     iface = InterfaceDescriptor("IPair", [sig])
     node.register_interface(iface)
-    node.deploy(iface, ComponentHandle(Pair(), ClassDescriptor("Pair", methods=[sig])), "pair")
-    numbers, name = '{"t":"list","v":[{"t":"i64","v":1}]}', '{"t":"str","v":"n"}'
+    handle = ComponentHandle(Pair(), ClassDescriptor("Pair", methods=[sig]))
+    node.deploy(iface, handle, "pair")
+    return node.proxy_for_ior(node.deploy_anonymous(iface, handle))
+
+
+def test_reply_outcomes_keep_their_texts(world, monkeypatch):
+    """Results and faults keep their outcomes and texts, pinned, since the
+    compiled and V* paths share the reply code."""
+    node, _, _ = world
+    proxy = _pair_proxy(node)
+    for reply, expected in _REPLY_OUTCOMES:
+        monkeypatch.setattr(refbus.client, "post_call", lambda *args: reply.encode())
+        assert outcome(lambda: proxy.take([1], "n")) == expected, reply
+
+
+def _deploy_taker(node, name, params, returns):
+    iface = InterfaceDescriptor(f"I{name}", [MethodSig("take", params, returns)])
+    node.register_interface(iface)
+    handle = ComponentHandle(Taker(), ClassDescriptor(f"{name}Taker", methods=iface.methods))
+    node.deploy(iface, handle, name)
+    return handle.instance, node.proxy_for_ior(node.deploy_anonymous(iface, handle))
+
+
+def test_misfits_fault_before_anything_materializes(world):
+    """A forged local reference would fault UNKNOWN_SERVICE when it
+    materializes; a misfit in a later argument answers first."""
+    node, _, _ = world
+    taker, _ = _deploy_taker(node, "misfit", (IPERSON_T, Prim.STR), Prim.NULL)
+    forged = '{"t":"ref","v":{"host":"%s","port":%d,"obj":999,"iface":"IPerson"}}' % (
+        node.host, node.port,
+    )
+    body = '{"method":"take","args":[' + forged + ',{"t":"i64","v":1}]}'
+    reply = _fault("TYPE_MISMATCH", "arg 1 $: expected str, got i64")
+    assert node.handle_request("POST", "/misfit", "", body.encode()) == (200, reply)
+    assert taker.received == []
+
+
+@pytest.mark.parametrize(
+    "declared, arg", [(ListOf(Prim.I64), []), (IPERSON_T, None)], ids=["list<i64>", "IPerson"]
+)
+def test_deep_nesting_at_a_position_is_bad_envelope(world, monkeypatch, declared, arg):
+    node, _, _ = world
+    _, proxy = _deploy_taker(node, "deep", (declared,), declared)
+    value = '{"t":"list","v":[' * 300 + "]}" * 300
+    body = '{"method":"take","args":[' + value + "]}"
+    reply = _fault("BAD_ENVELOPE", "value nesting too deep")
+    assert node.handle_request("POST", "/deep", "", body.encode()) == (200, reply)
+    data = ('{"result":' + value + "}").encode()
+    monkeypatch.setattr(refbus.client, "post_call", lambda *args: data)
+    with pytest.raises(BadEnvelopeError, match="^value nesting too deep$"):
+        proxy.take(arg)
+
+
+def test_each_body_and_reply_is_parsed_once(world, monkeypatch):
+    """A call whose method and arity match parses its body once, whether it
+    succeeds or faults; a reply parses once, whether it holds a result or
+    a fault."""
+    node, _, _ = world
+    proxy = _pair_proxy(node)
+    parses = Counter()
+    loads = json.loads
+
+    def counted_loads(*args, **kwargs):
+        parses["loads"] += 1
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counted_loads)
     bodies = [
-        "", "[]", "{}", '{"method":"take"}', '{"method":"take","args":{}}',
-        '{"method":"take","args":[' + numbers + "," + name + '],"x":1}',
-        '{"method":["take"],"args":[' + numbers + "," + name + "]}",
-        '{"method":"nope","args":[]}', '{"method":"take","args":[' + numbers + "]}",
-        '{"method":"take","args":[' + name + "," + name + "]}",
-        '{"method":"take","args":[' + name + r',{"t":"str","v":"\ud800"}]}',
-        '{"method":"take","args":[' + name + ',{"t":"str","v":"n","x":1}]}',
-        '{"method":"__snapshot","args":[]}', '{"method":"__resolve","args":[1]}',
+        '{"method":"take","args":[' + _NUMBERS + "," + _NAME + "]}",
+        '{"method":"take","args":[' + _NAME + "," + _NAME + "]}",
+        '{"method":"take","args":[' + _NUMBERS + ',{"t":"str"}]}',
     ]
-    codes = set()
-    for text in bodies:
-        with monkeypatch.context() as m:
-            m.setattr(Node, "_fast_call", lambda self, dep, body: None)
-            oracle = node.handle_request("POST", "/pair", "", text.encode())
-        assert node.handle_request("POST", "/pair", "", text.encode()) == oracle, text
-        reply = decode_reply(oracle[1])
-        codes.add(reply.fault.code if reply.fault else None)
-    assert codes == {
-        FaultCode.BAD_ENVELOPE, FaultCode.UNKNOWN_METHOD, FaultCode.TYPE_MISMATCH, None
-    }
+    for body in bodies:
+        parses.clear()
+        node.handle_request("POST", "/pair", "", body.encode())
+        assert parses["loads"] == 1, body
+    for reply, _ in _REPLY_OUTCOMES:
+        monkeypatch.setattr(refbus.client, "post_call", lambda *args: reply.encode())
+        parses.clear()
+        outcome(lambda: proxy.take([1], "n"))
+        assert parses["loads"] == 1, reply
 
 
 @pytest.fixture

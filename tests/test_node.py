@@ -245,6 +245,37 @@ def test_lone_surrogate_argument_faults_bad_envelope(make_node):
     assert _call(node, "/namer", "getName").result == VStr("ok")
 
 
+@pytest.mark.parametrize(
+    "path, body, message",
+    [
+        ("/bob", rb'{"method":"getName\ud800","args":[]}', r"no such method: getName\ud800"),
+        (
+            "/ann",
+            rb'{"method":"setSpouse","args":[{"t":"rec","type":"P","v":{"a\ud800":{"t":"x"}}}]}',
+            r"$.args[0].a\ud800: unknown value tag 'x'",
+        ),
+    ],
+    ids=["method", "field"],
+)
+def test_fault_text_with_lone_surrogate_is_escaped(make_node, path, body, message):
+    """A name from the body with a lone surrogate has no UTF-8 form; the
+    fault text escapes it, so the reply still reaches the caller."""
+    import http.client
+
+    node = make_node()
+    node.deploy("INamedEntity", Student("Bobby Jones", 1234), "bob")
+    node.deploy("IPerson", Person("Ann", 30), "ann")
+    conn = http.client.HTTPConnection(node.host, node.port, timeout=5)
+    try:
+        conn.request("POST", path, body=body, headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        status, data = response.status, response.read()
+    finally:
+        conn.close()
+    assert status == 200
+    assert decode_reply(data.decode("utf-8")).fault.message == message
+
+
 def test_component_exception_becomes_internal_fault(make_node):
     class Cranky:
         def boom(self):

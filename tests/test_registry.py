@@ -39,7 +39,7 @@ def test_bind_name_and_lookup():
     assert "bob" in dep.names
 
 
-@pytest.mark.parametrize("name", ["", "a/b", "a?b", "obj/3"])
+@pytest.mark.parametrize("name", ["", "a/b", "a?b", "obj/3", "my comp", "café", "a\tb"])
 def test_bind_rejects_invalid_names(name):
     table = ObjectTable()
     dep = table.add(_handle(), INAMED_ENTITY)
