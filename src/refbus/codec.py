@@ -1,76 +1,56 @@
-"""Signature-compiled codec: one pass per side for plain types.
+"""Type-directed codec: one pass per side for plain types.
 
-A plain type is a primitive or a list of plain types. For each plain
-TypeRef, ``compile_type`` builds once a decoder (parsed JSON to Python
-value) and an encoder (Python value to JSON-ready data). Each does in one
-pass what the V* path does in several: ``wire._parse_value``,
+A plain type is a primitive or a list of plain types. At a plain type,
+``decode`` turns parsed JSON into a Python value and ``_encode`` turns a
+Python value into JSON-ready data, each walking the declared type. Each
+does in one pass what the V* path does in several: ``wire._parse_value``,
 ``type_check`` and ``client.materialize`` inbound, ``Node.marshal_outbound``
 and ``wire._value_obj`` outbound. The text it encodes is byte-identical to
-the V* path's.
+the V* path's. Which scalar values fit comes from ``values.SCALARS``.
 
 The choice is made per signature position, after ``wire`` has checked the
-envelope. A compiled decoder is only a fast way to succeed: at anything
-unusual it declines, and ``receive`` runs the V* path on that one
-position, which produces the fault. An encoder hands any value that is not
-exactly a built-in scalar, list or tuple to the caller's ``marshal``,
-which runs the V* path for that position. Record and interface positions
-have no compiled form: they always take the V* path, so policies,
-deploys, unproxying and snapshots keep one implementation each. Nothing
-compiled captures a node or its type environment.
+envelope. ``decode`` is only a fast way to succeed: at anything unusual it
+declines, and ``receive`` runs the V* path on that one position, which
+produces the fault. ``_encode`` hands any value that is not exactly a
+built-in scalar, list or tuple to the caller's ``marshal``, which runs the
+V* path for that position. Record and interface positions are not plain:
+they always take the V* path, so policies, deploys, unproxying and
+snapshots keep one implementation each.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from typing import Any, Callable
 
-from .values import (
-    I64_MAX,
-    I64_MIN,
-    SCALARS,
-    ListOf,
-    Prim,
-    TypeEnvironment,
-    TypeRef,
-    Value,
-    is_text,
-    type_check,
-)
-from .wire import _dumps, _parse_value, _value_obj, _walk
+from .values import SCALARS, ListOf, Prim, TypeEnvironment, TypeRef, Value, type_check
+from .wire import MAX_NESTING, _dumps, _parse_value, _value_obj
 
 # marshal(value, declared) -> the Value the V* path sends for one position
 Marshal = Callable[[Any, TypeRef], Value]
 
 
 class _Unfit(Exception):
-    """A compiled decoder declines a value; the V* path must answer it."""
+    """``decode`` declines a value; the V* path must answer it."""
 
 
 _MISSING = object()  # stands for an absent "v" key; its type fits no scalar
-_PY_TYPE = {prim: py_type for prim, _, py_type in SCALARS}
-# What values of exactly a scalar's Python type must also satisfy: the
-# checks of VBool, VInt, VFloat and VStr, over a whole list at once.
-_RULES = {
-    Prim.BOOL: lambda xs: True,
-    Prim.I64: lambda xs: I64_MIN <= min(xs) and max(xs) <= I64_MAX,
-    Prim.F64: lambda xs: all(map(math.isfinite, xs)),
-    Prim.STR: lambda xs: is_text("".join(xs)),
-}
+# Prim -> (wire tag, exact Python type, bulk rule), one lookup per position
+_SCALAR = {prim: (prim.value, py_type, rule) for prim, _, py_type, rule in SCALARS}
 
 
-def _fits(prim: Prim, xs) -> bool:
-    return not xs or (set(map(type, xs)) == {_PY_TYPE[prim]} and _RULES[prim](xs))
+def _fits(xs, row) -> bool:
+    return not xs or (set(map(type, xs)) == {row[1]} and row[2](xs))
 
 
-def _accept(prim: Prim, payloads: list) -> list:
-    """Python values of the "v" payloads of values tagged ``prim``."""
-    if prim is Prim.F64 and int in set(map(type, payloads)):
+def _accept(payloads: list, row) -> list:
+    """Python values of the "v" payloads of values tagged ``row[0]``."""
+    if row[1] is float and int in set(map(type, payloads)):
         try:  # VFloat takes a JSON integer too
             payloads = [float(v) if type(v) is int else v for v in payloads]
         except OverflowError:
             raise _Unfit from None
-    if not _fits(prim, payloads):
+    if not _fits(payloads, row):
         raise _Unfit
     return payloads
 
@@ -83,41 +63,27 @@ def _payload(obj, tag: str):
     raise _Unfit
 
 
-def _decode_null(obj):
-    if type(obj) is dict and len(obj) == 1 and obj.get("t") == "null":
-        return None
-    raise _Unfit
+@functools.cache
+def plain(t: TypeRef, depth: int = 0) -> bool:
+    """Whether ``t`` holds no record or interface, and no value of it nests
+    deeper than the wire allows, which only the V* path checks."""
+    if isinstance(t, ListOf):
+        return depth < MAX_NESTING and plain(t.elem, depth + 1)
+    return isinstance(t, Prim)
 
 
-def _encode_null(x, marshal: Marshal):
-    return {"t": "null"} if x is None else _value_obj(marshal(x, Prim.NULL))
-
-
-def _scalar_codec(prim: Prim):
-    tag = prim.value
-
-    def decode(obj):
-        return _accept(prim, [_payload(obj, tag)])[0]
-
-    def encode(x, marshal: Marshal):
-        if _fits(prim, [x]):
-            return {"t": tag, "v": x}
-        return _value_obj(marshal(x, prim))
-
-    return decode, encode
-
-
-def _list_codec(t: ListOf, decode_elem, encode_elem):
-    # A list of scalars is checked in bulk; any other list item by item.
-    prim = t.elem if t.elem in _RULES else None
-    tag = prim.value if prim is not None else None
-
-    def decode(obj):
+def decode(obj, t: TypeRef):
+    """The Python value of parsed JSON at plain type ``t``; raises _Unfit
+    where it declines."""
+    if type(t) is ListOf:
         items = _payload(obj, "list")
         if type(items) is not list:
             raise _Unfit
-        if prim is None:
-            return [decode_elem(item) for item in items]
+        row = _SCALAR.get(t.elem)
+        if row is None:  # not a list of scalars: item by item
+            elem = t.elem
+            return [decode(item, elem) for item in items]
+        tag = row[0]
         payloads = [
             item.get("v", _MISSING)
             for item in items
@@ -125,31 +91,32 @@ def _list_codec(t: ListOf, decode_elem, encode_elem):
         ]
         if len(payloads) != len(items):
             raise _Unfit
-        return _accept(prim, payloads)
-
-    def encode(x, marshal: Marshal):
-        if type(x) is not list and type(x) is not tuple:
-            return _value_obj(marshal(x, t))
-        if prim is not None and _fits(prim, x):
-            return {"t": "list", "v": [{"t": tag, "v": item} for item in x]}
-        return {"t": "list", "v": [encode_elem(item, marshal) for item in x]}
-
-    return decode, encode
-
-
-@functools.cache
-def compile_type(t: TypeRef):
-    """(decode, encode) for a plain type, built once per TypeRef; None for
-    a type that holds a record or an interface."""
+        return _accept(payloads, row)
     if t is Prim.NULL:
-        return _decode_null, _encode_null
-    if isinstance(t, Prim):
-        return _scalar_codec(t)
-    if isinstance(t, ListOf):
-        elem = compile_type(t.elem)
-        if elem is not None:
-            return _list_codec(t, *elem)
-    return None
+        if type(obj) is dict and len(obj) == 1 and obj.get("t") == "null":
+            return None
+        raise _Unfit
+    row = _SCALAR[t]
+    return _accept([_payload(obj, row[0])], row)[0]
+
+
+def _encode(x, t: TypeRef, marshal: Marshal):
+    """JSON-ready data of ``x`` at plain type ``t``; ``marshal`` answers each
+    position ``x`` does not fit."""
+    if type(t) is ListOf:
+        if type(x) is list or type(x) is tuple:
+            row = _SCALAR.get(t.elem)
+            if row is not None and _fits(x, row):
+                tag = row[0]
+                return {"t": "list", "v": [{"t": tag, "v": item} for item in x]}
+            elem = t.elem
+            return {"t": "list", "v": [_encode(item, elem, marshal) for item in x]}
+    elif t is Prim.NULL:
+        if x is None:
+            return {"t": "null"}
+    elif _fits([x], row := _SCALAR[t]):
+        return {"t": row[0], "v": x}
+    return _value_obj(marshal(x, t))
 
 
 def receive(
@@ -157,8 +124,8 @@ def receive(
 ) -> tuple[list, list]:
     """(values, misfits) of the parsed JSON values at signature positions.
 
-    Each position runs its compiled decoder. Where that declines, or the
-    type has none, ``wire._parse_value`` parses the position at
+    Each plain position runs ``decode``. Where that declines, or the type
+    is not plain, ``wire._parse_value`` parses the position at
     ``path.format(i)``, so BadEnvelopeError leaves at the first position
     that does not parse, and ``type_check`` adds ``(i, mismatches)`` to
     misfits. Only when there are no misfits are the parsed positions
@@ -166,14 +133,13 @@ def receive(
     """
     values, parsed, misfits = [], [], []
     for i, (obj, t) in enumerate(zip(objs, types)):
-        compiled = compile_type(t)
-        if compiled is not None:
+        if plain(t):
             try:
-                values.append(compiled[0](obj))
+                values.append(decode(obj, t))
                 continue
-            except (_Unfit, RecursionError):
+            except _Unfit:
                 pass
-        v = _walk(_parse_value, obj, path.format(i))
+        v = _parse_value(obj, path.format(i))
         if mismatches := type_check(v, t, env):
             misfits.append((i, mismatches))
         parsed.append(i)
@@ -185,10 +151,9 @@ def receive(
 
 
 def _send(x, t: TypeRef, marshal: Marshal):
-    compiled = compile_type(t)
-    if compiled is None:
-        return _value_obj(marshal(x, t))
-    return compiled[1](x, marshal)
+    if plain(t):
+        return _encode(x, t, marshal)
+    return _value_obj(marshal(x, t))
 
 
 def send_call(method: str, params, args, marshal_at: Callable[[int], Marshal]) -> str:

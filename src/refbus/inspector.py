@@ -7,17 +7,16 @@ against the node's endpoints. Exit codes are stable:
     2  network failure
     3  unknown service (describe)
     4  usage or argument parse failure
-    5  remote fault
+    5  remote fault, or a reply that is not well formed
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .client import http_get, post_call
-from .errors import FaultCode, NetworkError
+from .errors import BadEnvelopeError, FaultCode, NetworkError
 from .values import (
     NULL,
     Ior,
@@ -29,7 +28,7 @@ from .values import (
     VRef,
     VStr,
 )
-from .wire import CallEnvelope, encode_value
+from .wire import CallEnvelope, _loads, _reply_shape, encode_value
 
 EXIT_OK = 0
 EXIT_NETWORK = 2
@@ -125,7 +124,9 @@ def format_descriptor(doc: dict) -> str:
 
 
 def cmd_list(host: str, port: int, timeout: float) -> int:
-    listing = json.loads(http_get(host, port, "/", timeout))
+    listing = _loads(http_get(host, port, "/", timeout))
+    if not (isinstance(listing, dict) and isinstance(listing.get("deployments"), list)):
+        raise BadEnvelopeError("listing has no deployments array")
     for dep in listing["deployments"]:
         if dep["names"]:
             label = sorted(dep["names"])[0]
@@ -137,11 +138,11 @@ def cmd_list(host: str, port: int, timeout: float) -> int:
 
 def cmd_describe(host: str, port: int, target: str, timeout: float, as_json: bool) -> int:
     text = http_get(host, port, f"/{target}?wsdl", timeout)
-    doc = json.loads(text)
+    doc = _loads(text)
     if isinstance(doc, dict) and "fault" in doc:
-        code, message = doc["fault"]["code"], doc["fault"]["message"]
-        print(f"fault {code}: {message}", file=sys.stderr)
-        return EXIT_UNKNOWN_SERVICE if code == FaultCode.UNKNOWN_SERVICE.value else EXIT_FAULT
+        _, fault = _reply_shape(doc)
+        print(f"fault {fault.code.value}: {fault.message}", file=sys.stderr)
+        return EXIT_UNKNOWN_SERVICE if fault.code is FaultCode.UNKNOWN_SERVICE else EXIT_FAULT
     print(text if as_json else format_descriptor(doc))
     return EXIT_OK
 
@@ -207,6 +208,9 @@ def main(argv=None) -> int:
     except NetworkError as exc:
         print(f"refbus-inspect: {exc}", file=sys.stderr)
         return EXIT_NETWORK
+    except BadEnvelopeError as exc:
+        print(f"refbus-inspect: {exc}", file=sys.stderr)
+        return EXIT_FAULT
 
 
 if __name__ == "__main__":

@@ -23,6 +23,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import socket
+import struct
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs
@@ -73,10 +75,13 @@ from .values import (
     typeref_name,
 )
 from .wire import CallEnvelope, ReplyEnvelope, encode_reply
-from .wire import _call_shape, _decode, _parse_args, _walk
+from .wire import _call_shape, _decode, _parse_args
 from .wire import decode_call  # unused here; bench/tracer.py patches refbus.node.decode_call
 
 MAX_BODY_BYTES = 16 * 1024 * 1024
+# Seconds a connection may send nothing before the node closes it and its
+# thread ends: between requests, or partway through one.
+IDLE_TIMEOUT_S = 30.0
 
 
 class Node:
@@ -145,6 +150,15 @@ class Node:
         handler = _make_handler(self)
         self._server = ThreadingHTTPServer((self._host, self._port), handler)
         self._server.daemon_threads = True
+        # On Linux, accepted connections inherit this receive timeout (a
+        # POSIX struct timeval), so a read that waits longer ends the
+        # connection. The handler's ``timeout`` would do the same, but a
+        # Python socket timeout polls before every read and write, which
+        # cost about 5% of a figure2_refs call.
+        seconds, micros = divmod(round(IDLE_TIMEOUT_S * 1e6), 1_000_000)
+        self._server.socket.setsockopt(
+            socket.SOL_SOCKET, socket.SO_RCVTIMEO, struct.pack("@ll", seconds, micros)
+        )
         self._port = self._server.server_port
         self._thread = threading.Thread(
             target=lambda: self._server.serve_forever(poll_interval=0.05),
@@ -430,7 +444,7 @@ class Node:
             method, args = _decode(body, _call_shape)
             sig = dep.iface.method(method)  # None for a reserved or unknown method
             if sig is None or len(args) != len(sig.params):
-                result = self._dispatch(dep, method, _walk(_parse_args, args))
+                result = self._dispatch(dep, method, _parse_args(args))
                 return encode_reply(ReplyEnvelope.ok(result))
             args, misfits = codec.receive(
                 args, sig.params, self.env, "$.args[{}]",
@@ -523,6 +537,9 @@ def _make_handler(node: Node):
                 self._respond(400, '{"error":"Content-Length out of bounds"}')
                 return
             body = self.rfile.read(length)
+            if body is None or len(body) < length:  # the peer went idle or away
+                self.close_connection = True
+                return
             path, _, query = self.path.partition("?")
             status, text = node.handle_request("POST", path, query, body)
             self._respond(status, text)

@@ -179,18 +179,20 @@ class InterfaceType:
 
 TypeRef = Union[Prim, ListOf, RecordType, InterfaceType]
 
-# Each scalar kind once: its Prim (whose value is its wire tag), value class
-# and Python type. Only the value class's constructor decides what fits; it
-# raises ValueError. A Python int is no f64, but VFloat takes a JSON integer.
+# Each scalar kind once: its Prim (whose value is its wire tag), value class,
+# Python type and bulk rule. The value class's constructor decides what fits;
+# it raises ValueError. A Python int is no f64, but VFloat takes a JSON
+# integer. The bulk rule is that constructor's check over a non-empty list of
+# values of exactly the Python type, all at once.
 SCALARS = (
-    (Prim.BOOL, VBool, bool),
-    (Prim.I64, VInt, int),
-    (Prim.F64, VFloat, float),
-    (Prim.STR, VStr, str),
+    (Prim.BOOL, VBool, bool, lambda xs: True),
+    (Prim.I64, VInt, int, lambda xs: I64_MIN <= min(xs) and max(xs) <= I64_MAX),
+    (Prim.F64, VFloat, float, lambda xs: all(map(math.isfinite, xs))),
+    (Prim.STR, VStr, str, lambda xs: is_text("".join(xs))),
 )
-SCALAR_CLASS_BY_TAG = {prim.value: cls for prim, cls, _ in SCALARS}
-SCALAR_TAG_BY_CLASS = {cls: prim.value for prim, cls, _ in SCALARS}
-_SCALAR_BY_PY_TYPE = {py_type: (prim, cls) for prim, cls, py_type in SCALARS}
+SCALAR_CLASS_BY_TAG = {prim.value: cls for prim, cls, *_ in SCALARS}
+SCALAR_TAG_BY_CLASS = {cls: prim.value for prim, cls, *_ in SCALARS}
+_SCALAR_BY_PY_TYPE = {py_type: (prim, cls) for prim, cls, py_type, _ in SCALARS}
 
 
 def python_scalar(x) -> tuple[Prim, type] | None:
@@ -200,7 +202,7 @@ def python_scalar(x) -> tuple[Prim, type] | None:
     """
     row = _SCALAR_BY_PY_TYPE.get(type(x))
     if row is None:
-        for prim, cls, py_type in SCALARS:
+        for prim, cls, py_type, _ in SCALARS:
             if isinstance(x, py_type):
                 return prim, cls
     return row

@@ -121,6 +121,11 @@ def encode_reply(reply: ReplyEnvelope) -> str:
     return _dumps({"result": _value_obj(reply.result)})
 
 
+# Levels of lists and records one value may nest, as protobuf's default
+# recursion limit; deeper is BAD_ENVELOPE, whatever the caller's stack.
+MAX_NESTING = 100
+
+
 def _reject_constant(name: str):
     raise ValueError(f"non-finite number constant: {name}")
 
@@ -135,6 +140,8 @@ def _loads(text: str) -> Any:
         return json.loads(text, parse_constant=_reject_constant)
     except (ValueError, TypeError) as exc:
         raise BadEnvelopeError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise BadEnvelopeError("value nesting too deep") from None
 
 
 def _require_keys(obj: dict, keys: set[str], what: str, path: str):
@@ -144,8 +151,14 @@ def _require_keys(obj: dict, keys: set[str], what: str, path: str):
         )
 
 
-def _parse_value(obj: Any, path: str) -> Value:
-    """Check the JSON shape here; the value classes check what fits."""
+def _parse_value(obj: Any, path: str, depth: int = 0) -> Value:
+    """Check the JSON shape here; the value classes check what fits.
+
+    ``depth`` counts the lists and records around ``obj``. Recursion takes
+    at most two frames per level, so MAX_NESTING levels parse under any
+    caller that leaves Python's default recursion limit a few hundred
+    frames of room.
+    """
     if not isinstance(obj, dict):
         raise BadEnvelopeError(f"{path}: value must be a tagged object")
     tag = obj.get("t")
@@ -168,12 +181,14 @@ def _parse_value(obj: Any, path: str) -> Value:
     if tag == "null":
         _require_keys(obj, {"t"}, "null value", path)
         return NULL
+    if (tag == "list" or tag == "rec") and depth == MAX_NESTING:
+        raise BadEnvelopeError("value nesting too deep")
     if tag == "list":
         _require_keys(obj, {"t", "v"}, "list value", path)
         if not isinstance(obj["v"], list):
             raise BadEnvelopeError(f"{path}: list payload must be an array")
         return VList(
-            _parse_value(item, f"{path}[{i}]") for i, item in enumerate(obj["v"])
+            [_parse_value(item, f"{path}[{i}]", depth + 1) for i, item in enumerate(obj["v"])]
         )
     if tag == "rec":
         _require_keys(obj, {"t", "type", "v"}, "record value", path)
@@ -186,23 +201,14 @@ def _parse_value(obj: Any, path: str) -> Value:
         for name, value in obj["v"].items():
             if not isinstance(name, str) or not name:
                 raise BadEnvelopeError(f"{path}: record field names must be non-empty")
-            fields.append((name, _parse_value(value, f"{path}.{name}")))
+            fields.append((name, _parse_value(value, f"{path}.{name}", depth + 1)))
         return VRecord(type_name, fields)
     raise BadEnvelopeError(f"{path}: unknown value tag {tag!r}")
 
 
-def _walk(parse, *args):
-    """parse(*args), where nesting too deep for json.loads or the recursive
-    walkers is a malformed envelope, not an internal error."""
-    try:
-        return parse(*args)
-    except RecursionError:
-        raise BadEnvelopeError("value nesting too deep") from None
-
-
 def _decode(text: str, parse):
     """Parse JSON text, then its object with ``parse``."""
-    return _walk(lambda: parse(_loads(text)))
+    return parse(_loads(text))
 
 
 def decode_value(text: str) -> Value:

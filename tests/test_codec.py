@@ -201,7 +201,7 @@ def test_compiled_codec_matches_the_value_path(world, monkeypatch):
         taker.received.clear()
         with monkeypatch.context() as m:
             if not fast:
-                m.setattr(codec, "compile_type", lambda t: None)
+                m.setattr(codec, "plain", lambda t: False)
             _, text = node.handle_request("POST", path, "", body)
         return text, list(taker.received)
 
@@ -209,13 +209,12 @@ def test_compiled_codec_matches_the_value_path(world, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(refbus.client, "post_call", lambda *args: reply)
             if not fast:
-                m.setattr(codec, "compile_type", lambda t: None)
+                m.setattr(codec, "plain", lambda t: False)
             return outcome(lambda: proxy.invoke("take", [arg]))
 
     for n in range(160):
         t = rand_type(rng)
-        compiled = codec.compile_type(t)
-        plain = compiled is not None
+        plain = codec.plain(t)
         iface = InterfaceDescriptor(f"ITake{n}", [MethodSig("take", (t,), t)])
         node.register_interface(iface)
         node.policies.set_method_policy(iface.name, "take", BY_REFERENCE)
@@ -272,7 +271,7 @@ def test_compiled_codec_matches_the_value_path(world, monkeypatch):
             # at a plain type, the compiled decoder takes whatever the V* path
             # takes; it raises where it declines
             if plain and (oracle_got or oracle[0] == "ok"):
-                compiled[0](obj)
+                codec.decode(obj, t)
 
     # both outcomes occur often enough for the comparison to mean something
     assert seen["well-typed ok"] == 160
@@ -350,7 +349,7 @@ def test_envelope_faults_match_the_value_path(world, monkeypatch):
     for body, reply in _ENVELOPE_REPLIES:
         assert node.handle_request("POST", "/pair", "", body.encode()) == (200, reply), body
         with monkeypatch.context() as m:
-            m.setattr(codec, "compile_type", lambda t: None)
+            m.setattr(codec, "plain", lambda t: False)
             assert node.handle_request("POST", "/pair", "", body.encode()) == (200, reply), body
 
 
@@ -439,6 +438,27 @@ def test_deep_nesting_at_a_position_is_bad_envelope(world, monkeypatch, declared
     monkeypatch.setattr(refbus.client, "post_call", lambda *args: data)
     with pytest.raises(BadEnvelopeError, match="^value nesting too deep$"):
         proxy.take(arg)
+
+
+@pytest.mark.parametrize("depth", [100, 101])
+def test_nesting_limit_holds_at_a_deeply_declared_type(world, depth):
+    """A list type nested deeper than a value may nest is not plain, so its
+    values meet the same limit as any other."""
+    node, _, _ = world
+    declared = Prim.I64
+    for _ in range(depth):
+        declared = ListOf(declared)
+    taker, _ = _deploy_taker(node, f"deep{depth}", (declared,), declared)
+    value = '{"t":"list","v":[' * depth + "]}" * depth
+    body = '{"method":"take","args":[' + value + "]}"
+    status, text = node.handle_request("POST", f"/deep{depth}", "", body.encode())
+    if depth == 100:
+        assert codec.plain(declared) and text == '{"result":' + value + "}"
+        assert len(taker.received) == 1
+    else:
+        assert not codec.plain(declared)
+        assert (status, text) == (200, _fault("BAD_ENVELOPE", "value nesting too deep"))
+        assert taker.received == []
 
 
 def test_each_body_and_reply_is_parsed_once(world, monkeypatch):

@@ -192,10 +192,12 @@ def test_call_prints_reference_results_as_ior_fields(make_node, capsys):
 
 
 class _RecordingStub:
-    """Minimal HTTP double that records every request line it serves."""
+    """Minimal HTTP double that records every request line it serves.
+    Given ``body``, it answers every request with it."""
 
-    def __init__(self):
+    def __init__(self, body: bytes | None = None):
         self.requests: list[tuple[str, str]] = []
+        self.body = body
         stub = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -203,7 +205,7 @@ class _RecordingStub:
                 pass
 
             def _reply(self, payload: str):
-                data = payload.encode()
+                data = payload.encode() if stub.body is None else stub.body
                 self.send_response(200)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
@@ -250,3 +252,25 @@ def test_cli_performs_only_the_documented_http_operations(capsys):
         ("GET", "/bob?wsdl"),
         ("POST", "/bob"),
     ]
+
+
+@pytest.mark.parametrize(
+    "command, body",
+    [
+        (["list"], b"[" * 100000),
+        (["list"], b'{"deployments":{}}'),
+        (["describe", "bob"], b'{"fault":5}'),
+        (["call", "bob", "getName"], b'{"result":{"t":"zz"}}'),
+        (["call", "bob", "getName"], b"\xff"),
+    ],
+    ids=["list-deep", "list-no-array", "describe-bad-fault", "call-bad-tag", "call-not-utf8"],
+)
+def test_malformed_reply_exits_5_with_one_line(capsys, command, body):
+    stub = _RecordingStub(body)
+    try:
+        code, out, err = _run(capsys, stub.address, *command)
+    finally:
+        stub.stop()
+    assert code == EXIT_FAULT
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("refbus-inspect: "), err

@@ -10,6 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import refbus.node
 from refbus import (
     BY_REFERENCE,
     BY_VALUE,
@@ -335,6 +336,18 @@ def test_deeply_nested_argument_faults_bad_envelope(bob_node, depth):
     assert decode_reply(text).fault.code is FaultCode.BAD_ENVELOPE
 
 
+@pytest.mark.parametrize("depth, message", [
+    (100, "getName takes 0 args, got 1"),
+    (101, "value nesting too deep"),
+])
+def test_argument_nesting_limit_is_100_levels(bob_node, depth, message):
+    value = '{"t":"list","v":[' * depth + "]}" * depth
+    body = ('{"method":"getName","args":[' + value + "]}").encode("utf-8")
+    status, text = bob_node.handle_request("POST", "/bob", "", body)
+    assert status == 200
+    assert decode_reply(text).fault.message == message
+
+
 def test_wsdl_endpoint_matches_describe(bob_node):
     text = http_get(bob_node.host, bob_node.port, "/bob?wsdl")
     iface = bob_node.env.interfaces["INamedEntity"]
@@ -415,6 +428,28 @@ def test_expect_100_continue_is_answered_before_the_body(bob_node):
             reply += chunk
     assert reply.split(b"\r\n")[0] == b"HTTP/1.1 200 OK"
     assert decode_reply(reply.partition(b"\r\n\r\n")[2]).result == VStr("Bobby Jones")
+
+
+def test_idle_connections_are_closed(make_node, monkeypatch):
+    """A connection that sends nothing, or stops partway through a body, is
+    closed after the idle timeout, and its server thread ends."""
+    import socket
+
+    monkeypatch.setattr(refbus.node, "IDLE_TIMEOUT_S", 0.2)
+    node = make_node()
+    before = set(threading.enumerate())
+    with socket.create_connection((node.host, node.port), timeout=5) as idle, \
+            socket.create_connection((node.host, node.port), timeout=5) as half:
+        half.sendall(b'POST /bob HTTP/1.1\r\nHost: x\r\nContent-Length: 40\r\n\r\n{"method"')
+        start = time.monotonic()
+        for sock in (idle, half):
+            sock.settimeout(2)
+            assert sock.recv(64) == b""
+        assert time.monotonic() - start < 2
+    deadline = time.monotonic() + 2
+    while set(threading.enumerate()) - before and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert not set(threading.enumerate()) - before
 
 
 def test_unsupported_http_method(bob_node):

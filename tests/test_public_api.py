@@ -4,6 +4,7 @@ everything else is imported from the one submodule that defines it."""
 from __future__ import annotations
 
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -58,3 +59,14 @@ def test_internal_names_import_from_their_submodule_only(module):
     for name in SUBMODULE_ONLY[module]:
         assert hasattr(owner, name), f"{module}.{name}"
         assert not hasattr(refbus, name), f"refbus.{name}"
+
+
+def test_console_scripts_name_callables():
+    """Each [project.scripts] entry of pyproject.toml imports to a callable."""
+    tomllib = pytest.importorskip("tomllib")  # standard library from 3.11
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert set(scripts) == {"refbus-node", "refbus-inspect", "refbus-scenario"}
+    for command, target in scripts.items():
+        module, _, function = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), function, None)), command

@@ -20,6 +20,7 @@ from refbus.values import (
     value_equals,
 )
 from refbus.wire import (
+    MAX_NESTING,
     CallEnvelope,
     ReplyEnvelope,
     decode_call,
@@ -188,6 +189,52 @@ def test_decode_reply_rejects_malformed(text):
 def test_decode_rejects_invalid_utf8_bytes():
     with pytest.raises(BadEnvelopeError):
         decode_value(b"\xff\xfe{}")
+
+
+def _under_stack(frames: int, fn):
+    """fn() from ``frames`` Python frames deeper than the caller."""
+    return fn() if frames == 0 else _under_stack(frames - 1, fn)
+
+
+def _nested_mixed(depth: int) -> str:
+    """Lists and records alternating, ``depth`` levels in all."""
+    text = '{"t":"null"}'
+    for level in range(depth):
+        if level % 2:
+            text = '{"t":"rec","type":"R","v":{"f":' + text + "}}"
+        else:
+            text = '{"t":"list","v":[' + text + "]}"
+    return text
+
+
+def _depth(v) -> int:
+    if isinstance(v, VList):
+        return 1 + max(map(_depth, v.items), default=0)
+    if isinstance(v, VRecord):
+        return 1 + max((_depth(value) for _, value in v.fields), default=0)
+    return 0
+
+
+@pytest.mark.parametrize("nested", [_nested_list, _nested_mixed], ids=["lists", "mixed"])
+def test_nesting_limit_does_not_depend_on_the_caller_stack(nested):
+    """MAX_NESTING levels parse, as a value, argument or result, even under
+    a deep caller; one more level is BAD_ENVELOPE at the top level."""
+    assert MAX_NESTING == 100
+    text = nested(MAX_NESTING)
+    value = _under_stack(600, lambda: decode_value(text))
+    assert _depth(value) == MAX_NESTING
+    call = _under_stack(600, lambda: decode_call('{"method":"m","args":[' + text + "]}"))
+    assert _depth(call.args[0]) == MAX_NESTING
+    reply = _under_stack(600, lambda: decode_reply('{"result":' + text + "}"))
+    assert _depth(reply.result) == MAX_NESTING
+    deeper = nested(MAX_NESTING + 1)
+    for decode, body in [
+        (decode_value, deeper),
+        (decode_call, '{"method":"m","args":[' + deeper + "]}"),
+        (decode_reply, '{"result":' + deeper + "}"),
+    ]:
+        with pytest.raises(BadEnvelopeError, match="^value nesting too deep$"):
+            decode(body)
 
 
 def test_reply_envelope_requires_exactly_one_side():
