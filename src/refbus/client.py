@@ -75,7 +75,7 @@ def post_call(
 ) -> ReplyEnvelope | bytes:
     """Send one call envelope and return the decoded reply envelope.
 
-    Given the call as JSON text, which the compiled codec encodes itself,
+    Given the call as JSON text, which the codec encodes itself,
     return the reply body's bytes for the caller to decode.
     """
     encoded = isinstance(call, str)

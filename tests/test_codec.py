@@ -1,10 +1,10 @@
-"""The compiled codec against the V* path it stands in for.
+"""The plain-type codec against the V* path it stands in for.
 
 The V* path is the oracle: wire._parse_value, type_check and materialize
 inbound; Node.marshal_outbound and wire._value_obj outbound. For seeded
 random types, well-typed values and mutated ones, both paths must give
 equal results, byte-identical text and the same faults with the same
-messages. Well-typed plain values must take the compiled path, so a
+messages. Well-typed plain values must take codec.decode, so a
 silent fallback cannot hide a slow codec.
 """
 
@@ -268,7 +268,7 @@ def test_compiled_codec_matches_the_value_path(world, monkeypatch):
                 same(fast[1], oracle[1]) if fast[0] == "ok" else fast == oracle
             ), (t, obj)
             seen[f"{kind} {'ok' if fast_got else 'fault'}"] += 1
-            # at a plain type, the compiled decoder takes whatever the V* path
+            # at a plain type, codec.decode takes whatever the V* path
             # takes; it raises where it declines
             if plain and (oracle_got or oracle[0] == "ok"):
                 codec.decode(obj, t)
@@ -343,7 +343,7 @@ _ENVELOPE_REPLIES = [
 def test_envelope_faults_match_the_value_path(world, monkeypatch):
     """Envelope and argument faults keep their texts, BAD_ENVELOPE in a
     later argument beating TYPE_MISMATCH in an earlier one. The texts are
-    pinned, since the compiled and V* paths share the envelope code."""
+    pinned, since the plain and V* paths share the envelope code."""
     node, _, _ = world
     _pair_proxy(node)
     for body, reply in _ENVELOPE_REPLIES:
@@ -394,7 +394,7 @@ def _pair_proxy(node):
 
 def test_reply_outcomes_keep_their_texts(world, monkeypatch):
     """Results and faults keep their outcomes and texts, pinned, since the
-    compiled and V* paths share the reply code."""
+    plain and V* paths share the reply code."""
     node, _, _ = world
     proxy = _pair_proxy(node)
     for reply, expected in _REPLY_OUTCOMES:
