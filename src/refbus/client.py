@@ -149,13 +149,22 @@ class Proxy:
         return result
 
     def __getattr__(self, name):
-        # Only reached for names not set in __init__.
-        if self.iface.method(name) is None:
-            raise AttributeError(f"{self.iface.name} has no method {name!r}")
+        # Only reached for names not set in __init__, which copy and pickle
+        # probe on an instance whose __init__ never ran.
+        iface = self.__dict__.get("iface")
+        if iface is None or iface.method(name) is None:
+            raise AttributeError(f"{getattr(iface, 'name', 'Proxy')} has no method {name!r}")
         def call(*args, _opts: CallOptions | None = None):
             return self.invoke(name, args, _opts)
         call.__name__ = name
         return call
+
+    def __copy__(self):
+        # Equal references intern to one proxy, so a copy is the proxy.
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     def __repr__(self):
         ior = self.ior

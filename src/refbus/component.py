@@ -11,21 +11,9 @@ from __future__ import annotations
 
 import threading
 
-from .errors import InternalFaultError, UnknownMethodError
+from .errors import InternalFaultError, TypeMismatchError, UnknownMethodError
 from .interfaces import ClassDescriptor
-from .values import (
-    NULL,
-    InterfaceType,
-    ListOf,
-    Prim,
-    RecordType,
-    TypeRef,
-    Value,
-    VList,
-    VRecord,
-    python_scalar,
-    typeref_name,
-)
+from .values import NULL, InterfaceType, RecordType, TypeRef, Value, VRecord, to_value, typeref_name
 
 
 class ComponentHandle:
@@ -66,35 +54,20 @@ def snapshot_instance(instance, descriptor: ClassDescriptor) -> VRecord:
     """State record of an instance, fields in declaration order."""
     fields = []
     for name, declared in descriptor.state_fields:
-        raw = getattr(instance, name)
-        fields.append((name, _state_value(raw, declared, descriptor.name, name)))
+        try:
+            fields.append((name, to_value(getattr(instance, name), declared, _state_leaf)))
+        except TypeMismatchError as exc:
+            raise InternalFaultError(f"cannot snapshot {descriptor.name}.{name}: {exc}") from None
     return VRecord(descriptor.name, fields)
 
 
-def _state_value(raw, declared: TypeRef, class_name: str, field_name: str) -> Value:
-    where = f"{class_name}.{field_name}"
-    if raw is None:
+def _state_leaf(x, t: TypeRef) -> Value:
+    """None is null and a record held as state is itself; nothing else has a
+    by-value form. Reference-valued state must stay out of state_fields."""
+    if x is None:
         return NULL
-    if isinstance(declared, Prim):
-        scalar = python_scalar(raw)
-        if scalar is not None and scalar[0] is declared:
-            try:
-                return scalar[1](raw)
-            except ValueError as exc:
-                raise InternalFaultError(f"cannot snapshot {where}: {exc}") from None
-    elif isinstance(declared, ListOf):
-        if isinstance(raw, (list, tuple)):
-            return VList(
-                _state_value(item, declared.elem, class_name, field_name) for item in raw
-            )
-    elif isinstance(declared, RecordType):
-        if isinstance(raw, VRecord) and raw.type_name == declared.name:
-            return raw
-    elif isinstance(declared, InterfaceType):
-        # A live reference held in snapshotted state has no by-value form;
-        # reference-valued state must stay out of state_fields.
-        raise InternalFaultError(f"cannot snapshot live reference field {where}")
-    raise InternalFaultError(
-        f"cannot snapshot {where}: expected {typeref_name(declared)}, "
-        f"got {type(raw).__name__}"
-    )
+    if isinstance(x, VRecord) and isinstance(t, RecordType) and x.type_name == t.name:
+        return x
+    if isinstance(t, InterfaceType):
+        raise TypeMismatchError("a live reference has no by-value form")
+    raise TypeMismatchError(f"{type(x).__name__} does not fit {typeref_name(t)}")

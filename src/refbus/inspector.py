@@ -95,31 +95,38 @@ def format_value(v: Value) -> str:
 def _format_typeref(doc) -> str:
     if isinstance(doc, str):
         return doc
-    if "list" in doc:
-        return f"list<{_format_typeref(doc['list'])}>"
-    if "record" in doc:
-        return doc["record"]
-    return doc["interface"]
+    if isinstance(doc, dict) and len(doc) == 1:
+        [(kind, inner)] = doc.items()
+        if kind == "list":
+            return f"list<{_format_typeref(inner)}>"
+        if kind in ("record", "interface") and isinstance(inner, str):
+            return inner
+    raise BadEnvelopeError("descriptor holds a malformed type reference")
 
 
-def format_descriptor(doc: dict) -> str:
-    """Readable rendering of a descriptor document."""
-    lines = [f"interface {doc['interface']}"]
-    for m in doc["methods"]:
+def _format_methods(methods) -> list[str]:
+    lines = []
+    for m in methods:
         params = ", ".join(_format_typeref(p) for p in m["params"])
         lines.append(f"  {m['name']}({params}) -> {_format_typeref(m['returns'])}")
-    for name in sorted(doc.get("records", {})):
-        fields = ", ".join(
-            f"{f['name']}: {_format_typeref(f['type'])}" for f in doc["records"][name]
-        )
-        lines.append(f"record {name} {{{fields}}}")
-    for name in sorted(doc.get("interfaces", {})):
-        if name == doc["interface"]:
-            continue
-        lines.append(f"interface {name}")
-        for m in doc["interfaces"][name]:
-            params = ", ".join(_format_typeref(p) for p in m["params"])
-            lines.append(f"  {m['name']}({params}) -> {_format_typeref(m['returns'])}")
+    return lines
+
+
+def format_descriptor(doc) -> str:
+    """Readable rendering of a descriptor document; BadEnvelopeError for a
+    document of another shape."""
+    try:
+        lines = [f"interface {doc['interface']}", *_format_methods(doc["methods"])]
+        for name in sorted(doc.get("records", {})):
+            fields = ", ".join(
+                f"{f['name']}: {_format_typeref(f['type'])}" for f in doc["records"][name]
+            )
+            lines.append(f"record {name} {{{fields}}}")
+        for name in sorted(doc.get("interfaces", {})):
+            if name != doc["interface"]:
+                lines += [f"interface {name}", *_format_methods(doc["interfaces"][name])]
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise BadEnvelopeError(f"malformed descriptor ({type(exc).__name__}: {exc})") from None
     return "\n".join(lines)
 
 
@@ -127,12 +134,15 @@ def cmd_list(host: str, port: int, timeout: float) -> int:
     listing = _loads(http_get(host, port, "/", timeout))
     if not (isinstance(listing, dict) and isinstance(listing.get("deployments"), list)):
         raise BadEnvelopeError("listing has no deployments array")
-    for dep in listing["deployments"]:
-        if dep["names"]:
-            label = sorted(dep["names"])[0]
-        else:
-            label = f"obj/{dep['obj']}"
-        print(f"{label}\t{dep['iface']}")
+    lines = []
+    try:
+        for dep in listing["deployments"]:
+            label = min(dep["names"]) if dep["names"] else f"obj/{dep['obj']}"
+            lines.append(f"{label}\t{dep['iface']}")
+    except (KeyError, TypeError) as exc:
+        raise BadEnvelopeError(f"malformed listing row ({type(exc).__name__}: {exc})") from None
+    for line in lines:
+        print(line)
     return EXIT_OK
 
 

@@ -61,16 +61,14 @@ from .values import (
     NULL,
     InterfaceType,
     Ior,
-    ListOf,
     Prim,
     RecordType,
     TypeEnvironment,
     TypeRef,
     Value,
-    VList,
     VRecord,
     VRef,
-    python_scalar,
+    to_value,
     type_check,
     typeref_name,
 )
@@ -293,71 +291,50 @@ class Node:
         resolved transmission policy: BY_REFERENCE sends a reference
         (just-in-time deploying local components), BY_VALUE sends a state
         record (snapshotting proxies remotely). Everything else always
-        passes by value; lists marshal elementwise under the same position.
+        passes by value; ``values.to_value`` converts scalars and lists,
+        and each list element takes the same position.
         """
-        if value is None:
-            if declared is Prim.NULL or isinstance(declared, (InterfaceType, RecordType)):
-                return NULL
-            raise TypeMismatchError(f"None does not fit {typeref_name(declared)}")
-        scalar = python_scalar(value)
-        if scalar is not None:
-            prim, value_class = scalar
-            if declared is not prim:
-                raise TypeMismatchError(
-                    f"{type(value).__name__} does not fit {typeref_name(declared)}"
+
+        def leaf(x, t: TypeRef) -> Value:
+            if x is None:
+                if t is Prim.NULL or isinstance(t, (InterfaceType, RecordType)):
+                    return NULL
+                raise TypeMismatchError(f"None does not fit {typeref_name(t)}")
+            if isinstance(x, Value):
+                mismatches = type_check(x, t, self.env)
+                if mismatches:
+                    raise TypeMismatchError("; ".join(mismatches))
+                return x
+            if isinstance(x, _client.Proxy):
+                if not isinstance(t, InterfaceType):
+                    raise TypeMismatchError(f"reference does not fit {typeref_name(t)}")
+                if x.ior.interface_name != t.name:
+                    raise TypeMismatchError(
+                        f"reference to {x.ior.interface_name!r} does not fit {typeref_name(t)}"
+                    )
+                policy = self.policies.resolve(position, iface_name, method_name, None, override)
+                if policy is BY_REFERENCE:
+                    return VRef(x.ior)
+                return self._remote_snapshot(x)
+            descriptor = self.class_descriptor_for(x)
+            if descriptor is not None:
+                if not isinstance(t, InterfaceType):
+                    raise TypeMismatchError(
+                        f"component {descriptor.name} does not fit {typeref_name(t)}"
+                    )
+                target_iface = self._iface_descriptor(t.name)
+                policy = self.policies.resolve(
+                    position, iface_name, method_name, descriptor.name, override
                 )
-            try:
-                return value_class(value)
-            except ValueError as exc:
-                raise TypeMismatchError(str(exc)) from None
-        if isinstance(value, (list, tuple)):
-            if not isinstance(declared, ListOf):
-                raise TypeMismatchError(f"list does not fit {typeref_name(declared)}")
-            return VList(
-                self.marshal_outbound(
-                    item,
-                    declared.elem,
-                    iface_name=iface_name,
-                    method_name=method_name,
-                    position=position,
-                    override=override,
-                )
-                for item in value
+                if policy is BY_REFERENCE:
+                    return VRef(self.deploy_anonymous(target_iface, x))
+                return snapshot_instance(x, descriptor)
+            raise TypeMismatchError(
+                f"cannot marshal {type(x).__name__}: not a transmissible value "
+                "or registered component class"
             )
-        if isinstance(value, Value):
-            mismatches = type_check(value, declared, self.env)
-            if mismatches:
-                raise TypeMismatchError("; ".join(mismatches))
-            return value
-        if isinstance(value, _client.Proxy):
-            if not isinstance(declared, InterfaceType):
-                raise TypeMismatchError(f"reference does not fit {typeref_name(declared)}")
-            if value.ior.interface_name != declared.name:
-                raise TypeMismatchError(
-                    f"reference to {value.ior.interface_name!r} does not fit "
-                    f"{typeref_name(declared)}"
-                )
-            policy = self.policies.resolve(position, iface_name, method_name, None, override)
-            if policy is BY_REFERENCE:
-                return VRef(value.ior)
-            return self._remote_snapshot(value)
-        descriptor = self.class_descriptor_for(value)
-        if descriptor is not None:
-            if not isinstance(declared, InterfaceType):
-                raise TypeMismatchError(
-                    f"component {descriptor.name} does not fit {typeref_name(declared)}"
-                )
-            target_iface = self._iface_descriptor(declared.name)
-            policy = self.policies.resolve(
-                position, iface_name, method_name, descriptor.name, override
-            )
-            if policy is BY_REFERENCE:
-                return VRef(self.deploy_anonymous(target_iface, value))
-            return snapshot_instance(value, descriptor)
-        raise TypeMismatchError(
-            f"cannot marshal {type(value).__name__}: not a transmissible value "
-            "or registered component class"
-        )
+
+        return to_value(value, declared, leaf)
 
     def _remote_snapshot(self, proxy: _client.Proxy) -> VRecord:
         ior = proxy.ior
@@ -490,6 +467,22 @@ class Node:
             raise InternalFaultError(f"{type(exc).__name__}: {exc}") from exc
 
 
+def _body_length(headers) -> int:
+    """The body length a request declares. RFC 7230 §3.3.2-3.3.3 allow one
+    Content-Length of ASCII digits; a request with Transfer-Encoding, or
+    with any other Content-Length, raises ValueError."""
+    if "Transfer-Encoding" in headers:
+        raise ValueError("Transfer-Encoding is not supported")
+    values = headers.get_all("Content-Length", [])
+    text = values[0].strip(" \t") if len(values) == 1 else ""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError("missing or invalid Content-Length")
+    digits = text.lstrip("0") or "0"  # int() has a digit limit; zeros may pad
+    if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+        raise ValueError("Content-Length out of bounds")
+    return int(digits)
+
+
 def _make_handler(node: Node):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
@@ -529,12 +522,9 @@ def _make_handler(node: Node):
 
         def do_POST(self):
             try:
-                length = int(self.headers.get("Content-Length", ""))
-            except ValueError:
-                self._respond(400, '{"error":"missing or invalid Content-Length"}')
-                return
-            if length < 0 or length > MAX_BODY_BYTES:
-                self._respond(400, '{"error":"Content-Length out of bounds"}')
+                length = _body_length(self.headers)
+            except ValueError as exc:
+                self._respond(400, json.dumps({"error": str(exc)}, separators=(",", ":")))
                 return
             body = self.rfile.read(length)
             if body is None or len(body) < length:  # the peer went idle or away

@@ -262,21 +262,18 @@ def transcript_diff(name: str, transcript: list[str]) -> list[str]:
     return problems
 
 
-def run_scenario(name: str, *, check: bool = True) -> list[str]:
-    """Run a named scenario and return its transcript.
-
-    With check=True (the default) the transcript is verified against the
-    scenario's expectation and a mismatch raises ScenarioFailed carrying
-    the diff.
+def run_scenario(name: str) -> list[str]:
+    """Run a named scenario and return its transcript, which is verified
+    against the scenario's expectation; a mismatch raises ScenarioFailed
+    carrying the diff.
     """
     runner = SCENARIOS.get(name)
     if runner is None:
         raise ValueError(f"unknown scenario {name!r} (choose from {sorted(SCENARIOS)})")
     transcript = runner()
-    if check:
-        problems = transcript_diff(name, transcript)
-        if problems:
-            raise ScenarioFailed(f"scenario {name!r} diverged:\n" + "\n".join(problems))
+    problems = transcript_diff(name, transcript)
+    if problems:
+        raise ScenarioFailed(f"scenario {name!r} diverged:\n" + "\n".join(problems))
     return transcript
 
 
@@ -286,7 +283,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("name", choices=sorted(SCENARIOS))
     args = parser.parse_args(argv)
-    transcript = run_scenario(args.name, check=False)
+    transcript = SCENARIOS[args.name]()
     for line in transcript:
         print(line)
     problems = transcript_diff(args.name, transcript)

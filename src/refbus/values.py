@@ -13,7 +13,9 @@ import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Mapping, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Union
+
+from .errors import TypeMismatchError
 
 if TYPE_CHECKING:
     from .interfaces import ClassDescriptor, InterfaceDescriptor
@@ -195,17 +197,35 @@ SCALAR_TAG_BY_CLASS = {cls: prim.value for prim, cls, *_ in SCALARS}
 _SCALAR_BY_PY_TYPE = {py_type: (prim, cls) for prim, cls, py_type, _ in SCALARS}
 
 
-def python_scalar(x) -> tuple[Prim, type] | None:
-    """The (Prim, value class) a Python datum travels as; None for a non-scalar.
+def to_value(x, t: TypeRef, leaf: Callable[[Any, TypeRef], Value]) -> Value:
+    """The Value of a Python datum at declared type ``t``.
 
-    A subclass (an IntEnum, say) falls back to isinstance; bool precedes int.
+    Scalars convert to their value class and lists and tuples element-wise;
+    ``leaf(x, t)`` answers every other datum, None included. A scalar or
+    list that does not fit ``t``, or a scalar its value class refuses,
+    raises TypeMismatchError. A scalar subclass (an IntEnum, say) falls
+    back to isinstance; bool precedes int.
     """
+    if x is None:
+        return leaf(x, t)
     row = _SCALAR_BY_PY_TYPE.get(type(x))
     if row is None:
         for prim, cls, py_type, _ in SCALARS:
             if isinstance(x, py_type):
-                return prim, cls
-    return row
+                row = prim, cls
+                break
+        else:
+            if not isinstance(x, (list, tuple)):
+                return leaf(x, t)
+            if not isinstance(t, ListOf):
+                raise TypeMismatchError(f"list does not fit {typeref_name(t)}")
+            return VList([to_value(item, t.elem, leaf) for item in x])
+    if t is not row[0]:
+        raise TypeMismatchError(f"{type(x).__name__} does not fit {typeref_name(t)}")
+    try:
+        return row[1](x)
+    except ValueError as exc:
+        raise TypeMismatchError(str(exc)) from None
 
 
 _TAGS = {VNull: "null", **SCALAR_TAG_BY_CLASS, VList: "list", VRecord: "rec", VRef: "ref"}

@@ -4,6 +4,7 @@ references, and call options."""
 from __future__ import annotations
 
 import contextlib
+import copy
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -367,6 +368,19 @@ def test_two_receipts_of_one_ior_intern_to_one_proxy(make_node):
     proxy.setItem(john)
     assert len(holder.received) == 2
     assert holder.received[0] is holder.received[1]
+
+
+def test_a_copy_of_a_proxy_is_the_proxy(make_node):
+    server, consumer = make_node(), make_node()
+    server.deploy("INamedEntity", Student("Bobby Jones", 1234), "bob")
+    proxy = consumer.get_component_by_name("bob", server.host, server.port)
+    assert copy.copy(proxy) is proxy
+    assert copy.deepcopy(proxy) is proxy
+    assert copy.deepcopy({"bob": [proxy]})["bob"][0] is proxy
+    bare = Proxy.__new__(Proxy)  # as copy and pickle build one
+    with pytest.raises(AttributeError):
+        bare.getName
+    assert proxy.getName() == "Bobby Jones"
 
 
 def test_chained_reference_forwards_ior_verbatim(make_node):

@@ -12,6 +12,7 @@ from refbus import (
     ListOf,
     MethodSig,
     Prim,
+    RecordType,
     UnknownMethodError,
 )
 from refbus.component import snapshot_instance
@@ -103,3 +104,28 @@ def test_snapshot_rejects_out_of_range_int():
 def test_snapshot_rejects_lone_surrogate():
     with pytest.raises(InternalFaultError):
         snapshot_instance(Person("\ud800", 3), PERSON_CLASS)
+
+
+class _Holder:
+    def __init__(self, item):
+        self.item = item
+
+
+@pytest.mark.parametrize(
+    "declared, item, message",
+    [
+        (Prim.I64, "7", "str does not fit i64"),
+        (Prim.I64, 2**70, "VInt out of 64-bit signed range: 1180591620717411303424"),
+        (Prim.STR, object(), "object does not fit str"),
+        (ListOf(Prim.STR), "ab", "str does not fit list<str>"),
+        (ListOf(Prim.STR), ["a", 1], "int does not fit str"),
+        (Prim.I64, [1], "list does not fit i64"),
+        (RecordType("R"), VRecord("S", []), "VRecord does not fit record R"),
+        (InterfaceType("I"), object(), "a live reference has no by-value form"),
+    ],
+)
+def test_snapshot_fault_names_the_field_and_the_misfit(declared, item, message):
+    descriptor = ClassDescriptor("Holder", state_fields=[("item", declared)])
+    with pytest.raises(InternalFaultError) as info:
+        snapshot_instance(_Holder(item), descriptor)
+    assert str(info.value) == f"cannot snapshot Holder.item: {message}"

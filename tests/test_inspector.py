@@ -262,8 +262,20 @@ def test_cli_performs_only_the_documented_http_operations(capsys):
         (["describe", "bob"], b'{"fault":5}'),
         (["call", "bob", "getName"], b'{"result":{"t":"zz"}}'),
         (["call", "bob", "getName"], b"\xff"),
+        (["list"], b'{"deployments":[5]}'),
+        (["list"], b'{"deployments":[{"names":"x"}]}'),
+        (["describe", "bob"], b'{"interface":"I"}'),
+        (["describe", "bob"], b"[1]"),
+        (
+            ["describe", "bob"],
+            b'{"interface":"I","methods":[{"name":"m","params":[5],"returns":"null"}]}',
+        ),
     ],
-    ids=["list-deep", "list-no-array", "describe-bad-fault", "call-bad-tag", "call-not-utf8"],
+    ids=[
+        "list-deep", "list-no-array", "describe-bad-fault", "call-bad-tag", "call-not-utf8",
+        "list-row-not-object", "list-row-no-iface", "describe-no-methods", "describe-not-object",
+        "describe-bad-param",
+    ],
 )
 def test_malformed_reply_exits_5_with_one_line(capsys, command, body):
     stub = _RecordingStub(body)

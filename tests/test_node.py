@@ -430,6 +430,63 @@ def test_expect_100_continue_is_answered_before_the_body(bob_node):
     assert decode_reply(reply.partition(b"\r\n\r\n")[2]).result == VStr("Bobby Jones")
 
 
+@pytest.mark.parametrize(
+    "head, length",
+    [
+        (b"Content-Length: 30", 30),
+        (b"Content-Length: 30 ", 30),
+        (b"Content-Length: 0030", 30),
+        pytest.param(b"Content-Length: " + b"0" * 5000 + b"30", 30, id="5000-zeros-then-30"),
+        (b"Content-Length: 16777216", 16777216),
+        (b"Content-Length: +30", None),
+        (b"Content-Length: -1", None),
+        (b"Content-Length:\r\n 30", None),
+        (b"Content-Length: 3_0", None),
+        (b"Content-Length: \xa030", None),
+        (b"Content-Length: 0x1e", None),
+        (b"Content-Length: ", None),
+        (b"Host: x", None),
+        (b"Content-Length: 30\r\nContent-Length: 5", None),
+        (b"Content-Length: 30\r\nContent-Length: 30", None),
+        (b"Content-Length: 16777217", None),
+        pytest.param(b"Content-Length: " + b"9" * 5000, None, id="5000-nines"),
+        (b"Transfer-Encoding: chunked\r\nContent-Length: 30", None),
+        (b"transfer-encoding: identity", None),
+    ],
+)
+def test_a_body_length_is_one_content_length_of_ascii_digits(head, length):
+    import http.client
+    import io
+
+    headers = http.client.parse_headers(io.BytesIO(head + b"\r\n\r\n"))
+    if length is not None:
+        assert refbus.node._body_length(headers) == length
+    else:
+        with pytest.raises(ValueError):
+            refbus.node._body_length(headers)
+
+
+@pytest.mark.parametrize(
+    "head",
+    [
+        b"Content-Length: +%d",
+        b"Content-Length: %d\r\nContent-Length: 5",
+        b"Transfer-Encoding: chunked\r\nContent-Length: %d",
+    ],
+    ids=["sign", "duplicate", "transfer-encoding"],
+)
+def test_ill_framed_requests_get_400_and_a_closed_connection(bob_node, head):
+    import socket
+
+    body = encode_call(CallEnvelope("getName")).encode("utf-8")
+    with socket.create_connection((bob_node.host, bob_node.port), timeout=5) as sock:
+        sock.sendall(b"POST /bob HTTP/1.1\r\nHost: x\r\n" + head % len(body) + b"\r\n\r\n" + body)
+        reply = b""
+        while chunk := sock.recv(4096):  # the node closes the connection
+            reply += chunk
+    assert reply.split(b"\r\n")[0] == b"HTTP/1.1 400 Bad Request"
+
+
 def test_idle_connections_are_closed(make_node, monkeypatch):
     """A connection that sends nothing, or stops partway through a body, is
     closed after the idle timeout, and its server thread ends."""
