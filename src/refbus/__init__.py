@@ -8,7 +8,7 @@ copy) or by reference (a remote reference that preserves identity).
 
 This package exports what a user of nodes needs: the node, the type
 grammar and descriptors, transmission policies, and the error classes.
-The wire codec, the value model and the node's tables live in their
+The wire format, the value model and the node's tables live in their
 submodules (``refbus.wire``, ``refbus.values``, ``refbus.registry``, ...).
 """
 

@@ -16,11 +16,11 @@ import http.client
 import socket
 from dataclasses import dataclass
 
-from . import codec
 from .errors import (
     BadEnvelopeError,
     CallTimeout,
     NetworkError,
+    RefbusError,
     TypeMismatchError,
     UnknownMethodError,
     UnknownServiceError,
@@ -38,7 +38,8 @@ from .values import (
     VRef,
     type_check,  # unused here; bench/tracer.py patches refbus.client.type_check
 )
-from .wire import CallEnvelope, ReplyEnvelope, _decode, _reply_shape, decode_reply, encode_call
+from .wire import CallEnvelope, ReplyEnvelope, decode_reply, encode_call
+from .wire import loads, receive, reply_shape, send_call
 
 DEFAULT_TIMEOUT = 30.0
 
@@ -75,7 +76,7 @@ def post_call(
 ) -> ReplyEnvelope | bytes:
     """Send one call envelope and return the decoded reply envelope.
 
-    Given the call as JSON text, which the codec encodes itself,
+    Given the call as JSON text, as ``wire.send_call`` encodes it,
     return the reply body's bytes for the caller to decode.
     """
     encoded = isinstance(call, str)
@@ -135,13 +136,13 @@ class Proxy:
             self.ior.host,
             self.ior.port,
             f"/obj/{self.ior.object_number}",
-            codec.send_call(method, sig.params, args, marshal_at),
+            send_call(method, sig.params, args, marshal_at),
             opts.timeout,
         )
-        result, fault = _decode(data, _reply_shape)
+        result, fault = reply_shape(loads(data))
         if fault is not None:
             raise fault_error(fault.code, fault.message)
-        (result,), misfits = codec.receive(
+        (result,), misfits = receive(
             [result], [sig.returns], node.env, "$.result", functools.partial(materialize, node)
         )
         if misfits:
@@ -149,8 +150,8 @@ class Proxy:
         return result
 
     def __getattr__(self, name):
-        # Only reached for names not set in __init__, which copy and pickle
-        # probe on an instance whose __init__ never ran.
+        # Only reached for names not set in __init__; the lookup of "iface"
+        # must not recurse on an instance whose __init__ never ran.
         iface = self.__dict__.get("iface")
         if iface is None or iface.method(name) is None:
             raise AttributeError(f"{getattr(iface, 'name', 'Proxy')} has no method {name!r}")
@@ -165,6 +166,10 @@ class Proxy:
 
     def __deepcopy__(self, memo):
         return self
+
+    def __reduce_ex__(self, protocol):
+        # Unpickled elsewhere, it would have no node to call through.
+        raise RefbusError(f"cannot pickle a proxy: {self!r}")
 
     def __repr__(self):
         ior = self.ior
@@ -213,9 +218,9 @@ def get_component_by_name(node, name, host, port, timeout: float = DEFAULT_TIMEO
     endpoint to resolve itself into a remote reference.
     """
     validate_name(name)
-    doc = _decode(http_get(host, port, f"/{name}?wsdl", timeout), lambda obj: obj)
+    doc = loads(http_get(host, port, f"/{name}?wsdl", timeout))
     if isinstance(doc, dict) and "fault" in doc:
-        _, fault = _reply_shape(doc)
+        _, fault = reply_shape(doc)
         raise fault_error(fault.code, fault.message)
     if not isinstance(doc, dict) or "interface" not in doc:
         raise BadEnvelopeError("descriptor document missing interface name")

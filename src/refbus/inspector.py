@@ -28,7 +28,7 @@ from .values import (
     VRef,
     VStr,
 )
-from .wire import CallEnvelope, _loads, _reply_shape, encode_value
+from .wire import CallEnvelope, encode_value, loads, reply_shape
 
 EXIT_OK = 0
 EXIT_NETWORK = 2
@@ -131,7 +131,7 @@ def format_descriptor(doc) -> str:
 
 
 def cmd_list(host: str, port: int, timeout: float) -> int:
-    listing = _loads(http_get(host, port, "/", timeout))
+    listing = loads(http_get(host, port, "/", timeout))
     if not (isinstance(listing, dict) and isinstance(listing.get("deployments"), list)):
         raise BadEnvelopeError("listing has no deployments array")
     lines = []
@@ -148,9 +148,9 @@ def cmd_list(host: str, port: int, timeout: float) -> int:
 
 def cmd_describe(host: str, port: int, target: str, timeout: float, as_json: bool) -> int:
     text = http_get(host, port, f"/{target}?wsdl", timeout)
-    doc = _loads(text)
+    doc = loads(text)
     if isinstance(doc, dict) and "fault" in doc:
-        _, fault = _reply_shape(doc)
+        _, fault = reply_shape(doc)
         print(f"fault {fault.code.value}: {fault.message}", file=sys.stderr)
         return EXIT_UNKNOWN_SERVICE if fault.code is FaultCode.UNKNOWN_SERVICE else EXIT_FAULT
     print(text if as_json else format_descriptor(doc))

@@ -6,7 +6,7 @@ One node per address space combines the server and client roles. That is
 what makes loopback unproxying work: a reference exported from here and
 received back resolves to the original instance, not to a proxy.
 
-HTTP mapping (bodies are application/json):
+HTTP mapping (bodies are application/json), exactly these paths:
 
     POST /<name>        call envelope -> reply envelope
     POST /obj/<N>       call envelope -> reply envelope
@@ -15,7 +15,7 @@ HTTP mapping (bodies are application/json):
     GET  /              deployment listing
 
 Application errors travel as fault envelopes with HTTP 200; only malformed
-HTTP itself yields a 400.
+HTTP itself yields a 400, as does a GET that declares a body.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs
 
 from . import client as _client
-from . import codec
 from .component import ComponentHandle, snapshot_instance
 from .errors import (
     FaultCode,
@@ -73,7 +72,7 @@ from .values import (
     typeref_name,
 )
 from .wire import CallEnvelope, ReplyEnvelope, encode_reply
-from .wire import _call_shape, _decode, _parse_args
+from .wire import call_shape, loads, parse_args, receive, send_result
 from .wire import decode_call  # unused here; bench/tracer.py patches refbus.node.decode_call
 
 MAX_BODY_BYTES = 16 * 1024 * 1024
@@ -359,32 +358,31 @@ class Node:
         Total over raw requests: anything that goes wrong inside call
         handling becomes a fault envelope, never an exception.
         """
-        segments = [s for s in path.split("/") if s]
         wants_wsdl = "wsdl" in parse_qs(query, keep_blank_values=True)
 
         if http_method == "GET":
-            if not segments:
+            if path == "/":
                 return 200, self._listing()
-            dep = self._route(segments)
+            dep = self._route(path)
             if wants_wsdl:
                 if dep is None:
                     return 200, encode_reply(
-                        ReplyEnvelope.fail(
-                            FaultCode.UNKNOWN_SERVICE, f"no such service: /{'/'.join(segments)}"
-                        )
+                        ReplyEnvelope.fail(FaultCode.UNKNOWN_SERVICE, f"no such service: {path}")
                     )
                 return 200, describe(dep.iface, self.env)
             return 404, '{"error":"not found; descriptor documents are served at ?wsdl"}'
 
         if http_method == "POST":
-            dep = self._route(segments)
-            return 200, self._call(dep, "/" + "/".join(segments), body)
+            return 200, self._call(self._route(path), path, body)
 
         return 400, '{"error":"unsupported HTTP method"}'
 
-    def _route(self, segments: list[str]) -> Deployment | None:
-        if len(segments) == 2 and segments[0] == "obj":
-            number = segments[1]
+    def _route(self, path: str) -> Deployment | None:
+        """The deployment at exactly /<name> or /obj/<N>; any other
+        spelling would give one deployment many paths."""
+        segments = path.split("/")
+        if len(segments) == 3 and segments[:2] == ["", "obj"]:
+            number = segments[2]
             # str.isdigit alone also accepts digits int() rejects ("²") or
             # reads as ASCII ones ("١"); a leading zero would give one object
             # many paths.
@@ -396,8 +394,8 @@ class Node:
                 return self.table.resolve(int(number))
             except (RefbusError, ValueError):  # ValueError: past int's digit limit
                 return None
-        if len(segments) == 1:
-            return self.table.lookup_name(segments[0])
+        if len(segments) == 2 and segments[0] == "":
+            return self.table.lookup_name(segments[1])
         return None
 
     def _listing(self) -> str:
@@ -418,12 +416,12 @@ class Node:
         try:
             if dep is None:
                 raise UnknownServiceError(f"no such service: {path}")
-            method, args = _decode(body, _call_shape)
+            method, args = call_shape(loads(body))
             sig = dep.iface.method(method)  # None for a reserved or unknown method
             if sig is None or len(args) != len(sig.params):
-                result = self._dispatch(dep, method, _parse_args(args))
+                result = self._dispatch(dep, method, parse_args(args))
                 return encode_reply(ReplyEnvelope.ok(result))
-            args, misfits = codec.receive(
+            args, misfits = receive(
                 args, sig.params, self.env, "$.args[{}]",
                 functools.partial(_client.materialize, self),
             )
@@ -433,7 +431,7 @@ class Node:
             marshal = functools.partial(
                 self.marshal_outbound, iface_name=dep.iface.name, method_name=method, position=RETURN
             )
-            return codec.send_result(result, sig.returns, marshal)
+            return send_result(result, sig.returns, marshal)
         except FaultError as exc:
             code, message = exc.code, str(exc)
         except Exception as exc:  # total: never let a request kill the node
@@ -515,7 +513,18 @@ def _make_handler(node: Node):
             self.end_headers()
             self.wfile.write(data)
 
+        def _reject(self, message: str):
+            self._respond(400, json.dumps({"error": message}, separators=(",", ":")))
+
         def do_GET(self):
+            # An unread body would be parsed as the next request.
+            if "Transfer-Encoding" in self.headers or "Content-Length" in self.headers:
+                try:
+                    length = _body_length(self.headers)
+                except ValueError as exc:
+                    return self._reject(str(exc))
+                if length:
+                    return self._reject("a GET request must not have a body")
             path, _, query = self.path.partition("?")
             status, text = node.handle_request("GET", path, query, b"")
             self._respond(status, text)
@@ -524,8 +533,7 @@ def _make_handler(node: Node):
             try:
                 length = _body_length(self.headers)
             except ValueError as exc:
-                self._respond(400, json.dumps({"error": str(exc)}, separators=(",", ":")))
-                return
+                return self._reject(str(exc))
             body = self.rfile.read(length)
             if body is None or len(body) < length:  # the peer went idle or away
                 self.close_connection = True

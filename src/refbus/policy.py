@@ -69,13 +69,12 @@ class PolicyStore:
     are stored without complaint; they simply never match.
     """
 
-    def __init__(self, default: TransmissionPolicy = BY_VALUE):
+    def __init__(self):
         self._lock = threading.Lock()
         self._classes: dict[str, TransmissionPolicy] = {}
         self._methods: dict[tuple[str, str], TransmissionPolicy] = {}
         self._params: dict[tuple[str, str, int], TransmissionPolicy] = {}
         self._returns: dict[tuple[str, str], TransmissionPolicy] = {}
-        self._default = default
 
     @staticmethod
     def _require(*names: str):
@@ -138,13 +137,13 @@ class PolicyStore:
             p = self._classes.get(runtime_class_name)
             if p is not None:
                 return p
-        return self._default
+        return BY_VALUE
 
     def dump(self) -> dict:
         """Read-only snapshot of the stored policies."""
         with self._lock:
             return {
-                "default": self._default.value,
+                "default": BY_VALUE.value,
                 "classes": {k: v.value for k, v in sorted(self._classes.items())},
                 "methods": {
                     f"{i}.{m}": v.value for (i, m), v in sorted(self._methods.items())

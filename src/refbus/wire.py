@@ -1,4 +1,4 @@
-"""Bit-exact envelope and value encoding.
+"""The wire format: bit-exact envelopes and values.
 
 The wire grammar is a compact self-tagging JSON subset: every value is an
 object carrying a "t" tag, a call is {"method", "args"}, and a reply holds
@@ -6,25 +6,41 @@ exactly one of "result" or "fault". Encoding is deterministic (equal
 inputs yield byte-identical text) and decoding is strict: unknown tags,
 missing or extra keys, out-of-range numbers, and non-finite floats all
 signal BAD_ENVELOPE.
+
+Values take one of two paths, with byte-identical text. The V* path
+(``_value_obj``, ``_parse_value``) converts between JSON and
+``values.Value``. At a plain type, a primitive or a list of plain types,
+the typed path does in one walk of the declared type what the V* path,
+``type_check``, ``client.materialize`` and ``Node.marshal_outbound`` do in
+several: ``decode`` inbound, ``_encode`` outbound. It is only a fast way
+to succeed: ``receive`` and ``_send`` take the V* path for each position
+it declines, and that path produces the fault.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from .errors import BadEnvelopeError, FaultCode
 from .values import (
     NULL,
     SCALAR_CLASS_BY_TAG,
     SCALAR_TAG_BY_CLASS,
+    SCALARS,
     Ior,
+    ListOf,
+    Prim,
+    TypeEnvironment,
+    TypeRef,
     Value,
     VList,
     VNull,
     VRecord,
     VRef,
+    type_check,
 )
 
 
@@ -130,7 +146,7 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite number constant: {name}")
 
 
-def _loads(text: str) -> Any:
+def loads(text: str) -> Any:
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -206,24 +222,23 @@ def _parse_value(obj: Any, path: str, depth: int = 0) -> Value:
     raise BadEnvelopeError(f"{path}: unknown value tag {tag!r}")
 
 
-def _decode(text: str, parse):
-    """Parse JSON text, then its object with ``parse``."""
-    return parse(_loads(text))
-
-
 def decode_value(text: str) -> Value:
-    return _decode(text, lambda obj: _parse_value(obj, "$"))
+    return _parse_value(loads(text), "$")
 
 
 def decode_call(text: str) -> CallEnvelope:
-    return _decode(text, _parse_call)
+    method, args = call_shape(loads(text))
+    return CallEnvelope(method, parse_args(args))
 
 
 def decode_reply(text: str) -> ReplyEnvelope:
-    return _decode(text, _parse_reply)
+    result, fault = reply_shape(loads(text))
+    if fault is not None:
+        return ReplyEnvelope(fault=fault)
+    return ReplyEnvelope.ok(_parse_value(result, "$.result"))
 
 
-def _call_shape(obj: Any) -> tuple[str, list]:
+def call_shape(obj: Any) -> tuple[str, list]:
     """The method and the unparsed args of a call object."""
     if not isinstance(obj, dict):
         raise BadEnvelopeError("call must be an object")
@@ -236,16 +251,11 @@ def _call_shape(obj: Any) -> tuple[str, list]:
     return method, obj["args"]
 
 
-def _parse_args(args: list) -> list[Value]:
+def parse_args(args: list) -> list[Value]:
     return [_parse_value(a, f"$.args[{i}]") for i, a in enumerate(args)]
 
 
-def _parse_call(obj: Any) -> CallEnvelope:
-    method, args = _call_shape(obj)
-    return CallEnvelope(method, _parse_args(args))
-
-
-def _reply_shape(obj: Any) -> tuple[Any, Fault | None]:
+def reply_shape(obj: Any) -> tuple[Any, Fault | None]:
     """The unparsed result of a reply object, or its fault."""
     if not isinstance(obj, dict):
         raise BadEnvelopeError("reply must be an object")
@@ -266,8 +276,144 @@ def _reply_shape(obj: Any) -> tuple[Any, Fault | None]:
     raise BadEnvelopeError("reply must carry exactly one of result or fault")
 
 
-def _parse_reply(obj: Any) -> ReplyEnvelope:
-    result, fault = _reply_shape(obj)
-    if fault is not None:
-        return ReplyEnvelope(fault=fault)
-    return ReplyEnvelope.ok(_parse_value(result, "$.result"))
+# marshal(value, declared) -> the Value the V* path sends for one position
+Marshal = Callable[[Any, TypeRef], Value]
+
+
+class _Unfit(Exception):
+    """``decode`` declines a value; the V* path must answer it."""
+
+
+_MISSING = object()  # stands for an absent "v" key; its type fits no scalar
+# Prim -> (wire tag, exact Python type, bulk rule), one lookup per position
+_SCALAR = {prim: (prim.value, py_type, rule) for prim, _, py_type, rule in SCALARS}
+
+
+def _fits(xs, row) -> bool:
+    return not xs or (set(map(type, xs)) == {row[1]} and row[2](xs))
+
+
+def _accept(payloads: list, row) -> list:
+    """Python values of the "v" payloads of values tagged ``row[0]``."""
+    if row[1] is float and int in set(map(type, payloads)):
+        try:  # VFloat takes a JSON integer too
+            payloads = [float(v) if type(v) is int else v for v in payloads]
+        except OverflowError:
+            raise _Unfit from None
+    if not _fits(payloads, row):
+        raise _Unfit
+    return payloads
+
+
+def _payload(obj, tag: str):
+    if type(obj) is dict and len(obj) == 2 and obj.get("t") == tag:
+        payload = obj.get("v", _MISSING)
+        if payload is not _MISSING:
+            return payload
+    raise _Unfit
+
+
+@functools.cache
+def plain(t: TypeRef, depth: int = 0) -> bool:
+    """Whether ``t`` holds no record or interface, and no value of it nests
+    deeper than the wire allows, which only the V* path checks."""
+    if isinstance(t, ListOf):
+        return depth < MAX_NESTING and plain(t.elem, depth + 1)
+    return isinstance(t, Prim)
+
+
+def decode(obj, t: TypeRef):
+    """The Python value of parsed JSON at plain type ``t``; raises _Unfit
+    where it declines."""
+    if type(t) is ListOf:
+        items = _payload(obj, "list")
+        if type(items) is not list:
+            raise _Unfit
+        row = _SCALAR.get(t.elem)
+        if row is None:  # not a list of scalars: item by item
+            elem = t.elem
+            return [decode(item, elem) for item in items]
+        tag = row[0]
+        payloads = [
+            item.get("v", _MISSING)
+            for item in items
+            if type(item) is dict and len(item) == 2 and item.get("t") == tag
+        ]
+        if len(payloads) != len(items):
+            raise _Unfit
+        return _accept(payloads, row)
+    if t is Prim.NULL:
+        if type(obj) is dict and len(obj) == 1 and obj.get("t") == "null":
+            return None
+        raise _Unfit
+    row = _SCALAR[t]
+    return _accept([_payload(obj, row[0])], row)[0]
+
+
+def _encode(x, t: TypeRef, marshal: Marshal):
+    """JSON-ready data of ``x`` at plain type ``t``; ``marshal`` answers each
+    position ``x`` does not fit."""
+    if type(t) is ListOf:
+        if type(x) is list or type(x) is tuple:
+            row = _SCALAR.get(t.elem)
+            if row is not None and _fits(x, row):
+                tag = row[0]
+                return {"t": "list", "v": [{"t": tag, "v": item} for item in x]}
+            elem = t.elem
+            return {"t": "list", "v": [_encode(item, elem, marshal) for item in x]}
+    elif t is Prim.NULL:
+        if x is None:
+            return {"t": "null"}
+    elif _fits([x], row := _SCALAR[t]):
+        return {"t": row[0], "v": x}
+    return _value_obj(marshal(x, t))
+
+
+def receive(
+    objs: list, types, env: TypeEnvironment, path: str, materialize: Callable[[Value], Any]
+) -> tuple[list, list]:
+    """(values, misfits) of the parsed JSON values at signature positions.
+
+    Each plain position runs ``decode``. Where that declines, or the type
+    is not plain, ``_parse_value`` parses the position at
+    ``path.format(i)``, so BadEnvelopeError leaves at the first position
+    that does not parse, and ``type_check`` adds ``(i, mismatches)`` to
+    misfits. Only when there are no misfits are the parsed positions
+    materialized into values.
+    """
+    values, parsed, misfits = [], [], []
+    for i, (obj, t) in enumerate(zip(objs, types)):
+        if plain(t):
+            try:
+                values.append(decode(obj, t))
+                continue
+            except _Unfit:
+                pass
+        v = _parse_value(obj, path.format(i))
+        if mismatches := type_check(v, t, env):
+            misfits.append((i, mismatches))
+        parsed.append(i)
+        values.append(v)
+    if not misfits:
+        for i in parsed:
+            values[i] = materialize(values[i])
+    return values, misfits
+
+
+def _send(x, t: TypeRef, marshal: Marshal):
+    if plain(t):
+        return _encode(x, t, marshal)
+    return _value_obj(marshal(x, t))
+
+
+def send_call(method: str, params, args, marshal_at: Callable[[int], Marshal]) -> str:
+    """Call envelope text; ``marshal_at(i)`` marshals argument ``i``."""
+    return _dumps({
+        "method": method,
+        "args": [_send(a, t, marshal_at(i)) for i, (a, t) in enumerate(zip(args, params))],
+    })
+
+
+def send_result(x, t: TypeRef, marshal: Marshal) -> str:
+    """Reply envelope text for a result."""
+    return _dumps({"result": _send(x, t, marshal)})

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import pickle
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -28,6 +29,7 @@ from refbus import (
     NetworkError,
     Node,
     Prim,
+    RefbusError,
     TypeMismatchError,
     UnknownInterfaceError,
     UnknownMethodError,
@@ -380,6 +382,19 @@ def test_a_copy_of_a_proxy_is_the_proxy(make_node):
     bare = Proxy.__new__(Proxy)  # as copy and pickle build one
     with pytest.raises(AttributeError):
         bare.getName
+    assert proxy.getName() == "Bobby Jones"
+
+
+def test_pickling_a_proxy_is_refused_with_its_interface_and_address(make_node):
+    server, consumer = make_node(), make_node()
+    server.deploy("INamedEntity", Student("Bobby Jones", 1234), "bob")
+    proxy = consumer.get_component_by_name("bob", server.host, server.port)
+    address = f"{server.host}:{server.port}/obj/{proxy.ior.object_number}"
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        with pytest.raises(RefbusError) as info:
+            pickle.dumps(proxy, protocol)
+        assert "INamedEntity" in str(info.value) and address in str(info.value)
+    assert copy.deepcopy(proxy) is proxy
     assert proxy.getName() == "Bobby Jones"
 
 

@@ -38,7 +38,7 @@ from refbus import (
     RecordType,
     TypeMismatchError,
 )
-from refbus import codec
+from refbus import wire as codec  # the typed path lives in refbus.wire
 from refbus.policy import RETURN, ParamPos
 from refbus.scenarios import IPERSON, PERSON_CLASS, Person
 from refbus.values import I64_MAX, I64_MIN, Ior, VBool, VFloat, VInt, VList, VRecord, VStr

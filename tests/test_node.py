@@ -4,6 +4,7 @@ policy-driven marshaling, and just-in-time deployment."""
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -32,7 +33,7 @@ from refbus.policy import RETURN, ParamPos
 from refbus.values import Ior, VInt, VRecord, VRef, VStr, value_equals
 from refbus.wire import CallEnvelope, decode_reply, encode_call
 from refbus.client import http_get, post_call
-from refbus.scenarios import Person, Student, register_demo_types
+from refbus.scenarios import INAMED_ENTITY, Person, Student, register_demo_types
 
 
 def _call(node, path, method, args=()):
@@ -184,10 +185,17 @@ def test_unknown_path_faults_unknown_service(bob_node):
     bob_node.deploy_anonymous("INamedEntity", Student("b", 2))
     body = encode_call(CallEnvelope("getName")).encode("utf-8")
     paths = ["/obj/\u00b2", "/obj/" + "1" * 5000, "/obj/\u0661", "/obj/000", "/obj/01"]
+    # Nor may empty segments alias "/bob", "/obj/0" or the listing at "/".
+    paths += ["/bob/", "//bob", "/bob//", "/obj//0", "/obj/0/", "//", ""]
     for path in paths:
         status, text = bob_node.handle_request("POST", path, "", body)
         assert status == 200
+        fault = decode_reply(text).fault
+        assert fault.code is FaultCode.UNKNOWN_SERVICE, path
+        assert fault.message == f"no such service: {path}"
+        status, text = bob_node.handle_request("GET", path, "wsdl", b"")
         assert decode_reply(text).fault.code is FaultCode.UNKNOWN_SERVICE, path
+        assert bob_node.handle_request("GET", path, "", b"")[0] == 404, path
 
 
 def test_wrong_arity_faults_type_mismatch(bob_node):
@@ -485,6 +493,53 @@ def test_ill_framed_requests_get_400_and_a_closed_connection(bob_node, head):
         while chunk := sock.recv(4096):  # the node closes the connection
             reply += chunk
     assert reply.split(b"\r\n")[0] == b"HTTP/1.1 400 Bad Request"
+
+
+class _CountingNamer:
+    def __init__(self):
+        self.calls = 0
+
+    def getName(self):
+        self.calls += 1
+        return "Bob"
+
+
+@pytest.mark.parametrize(
+    "head, served",
+    [
+        (b"Content-Length: %d", False),
+        (b"Content-Length: +%d", False),
+        (b"Transfer-Encoding: chunked\r\nContent-Length: %d", False),
+        (b"Content-Length: 0", True),
+    ],
+    ids=["length", "sign", "transfer-encoding", "empty"],
+)
+def test_a_get_with_a_body_gets_400_and_the_body_never_runs(make_node, head, served):
+    """Unread, the body of a GET would be parsed as a second request."""
+    import socket
+
+    node = make_node()
+    named = _CountingNamer()
+    descriptor = ClassDescriptor("Namer", methods=INAMED_ENTITY.methods)
+    node.deploy(INAMED_ENTITY, ComponentHandle(named, descriptor), "bob")
+    call = encode_call(CallEnvelope("getName")).encode("utf-8")
+    smuggled = (
+        b"POST /bob HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+        b"Content-Length: %d\r\n\r\n%s" % (len(call), call)
+    )
+    if b"%d" in head:
+        head %= len(smuggled)
+    with socket.create_connection((node.host, node.port), timeout=5) as sock:
+        sock.sendall(b"GET / HTTP/1.1\r\nHost: x\r\n" + head + b"\r\n\r\n" + smuggled)
+        reply = b""
+        while chunk := sock.recv(4096):  # the node closes the connection
+            reply += chunk
+    # A body need not end in a line break, so count status lines anywhere.
+    statuses = re.findall(rb"HTTP/1\.1 \d{3} [A-Za-z ]+", reply)
+    if served:  # an empty body: the next bytes are the next request
+        assert statuses == [b"HTTP/1.1 200 OK"] * 2 and named.calls == 1
+    else:
+        assert statuses == [b"HTTP/1.1 400 Bad Request"] and named.calls == 0
 
 
 def test_idle_connections_are_closed(make_node, monkeypatch):

@@ -91,10 +91,10 @@ def test_exhaustive_precedence_matrix_param_position():
     overrides_cases = list(itertools.product(_CHOICES, _CHOICES))  # per-param, whole-call
     stored_cases = list(itertools.product(_CHOICES, _CHOICES, _CHOICES))  # param, method, class
     failures = 0
-    for default in (BY_VALUE, BY_REFERENCE):
+    for default in (BY_VALUE,):  # the system default, which is fixed
         for per_param, whole_call in overrides_cases:
             for p_param, p_method, p_class in stored_cases:
-                store = PolicyStore(default)
+                store = PolicyStore()
                 if p_param is not None:
                     store.set_param_policy("I", "m", 0, p_param)
                 if p_method is not None:
@@ -116,12 +116,12 @@ def test_exhaustive_precedence_matrix_param_position():
 
 def test_exhaustive_precedence_matrix_return_position():
     failures = 0
-    for default in (BY_VALUE, BY_REFERENCE):
+    for default in (BY_VALUE,):  # the system default, which is fixed
         for for_return, whole_call in itertools.product(_CHOICES, _CHOICES):
             for p_return, p_method, p_class in itertools.product(
                 _CHOICES, _CHOICES, _CHOICES
             ):
-                store = PolicyStore(default)
+                store = PolicyStore()
                 if p_return is not None:
                     store.set_return_policy("I", "m", p_return)
                 if p_method is not None:

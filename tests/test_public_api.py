@@ -3,6 +3,7 @@ everything else is imported from the one submodule that defines it."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 from pathlib import Path
 
@@ -32,7 +33,9 @@ SUBMODULE_ONLY = {
     ],
     "refbus.wire": [
         "CallEnvelope", "Fault", "ReplyEnvelope", "encode_call", "encode_reply",
-        "encode_value", "decode_call", "decode_reply", "decode_value",
+        "encode_value", "decode_call", "decode_reply", "decode_value", "loads",
+        "call_shape", "reply_shape", "parse_args", "plain", "decode", "receive",
+        "send_call", "send_result",
     ],
     "refbus.interfaces": ["ClosureViolation", "check_closure", "check_compat", "describe"],
     "refbus.policy": ["ParamPos", "RETURN", "ReturnPos", "PolicyStore", "TransmissionPolicy"],
@@ -59,6 +62,20 @@ def test_internal_names_import_from_their_submodule_only(module):
     for name in SUBMODULE_ONLY[module]:
         assert hasattr(owner, name), f"{module}.{name}"
         assert not hasattr(refbus, name), f"refbus.{name}"
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    """A ``_`` name belongs to the module that defines it."""
+    src = Path(__file__).resolve().parents[1] / "src" / "refbus"
+    leaks = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert leaks == []
 
 
 def test_console_scripts_name_callables():
