@@ -147,6 +147,8 @@ def _reject_constant(name: str):
 
 
 def loads(text: str) -> Any:
+    """The JSON data of a body, as text or UTF-8 bytes; BadEnvelopeError
+    where it is not UTF-8 or not JSON."""
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
