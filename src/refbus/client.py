@@ -69,6 +69,8 @@ def _http_request(host, port, method, path, body: bytes | None, timeout: float):
         raise CallTimeout(f"{method} {host}:{port}{path} timed out") from exc
     except OSError as exc:
         raise NetworkError(f"{method} {host}:{port}{path} failed: {exc}") from exc
+    except http.client.HTTPException as exc:  # its text may quote the peer's line breaks
+        raise NetworkError(f"{method} {host}:{port}{path} failed: {exc!r}") from exc
 
 
 def post_call(

@@ -12,9 +12,11 @@ Values take one of two paths, with byte-identical text. The V* path
 ``values.Value``. At a plain type, a primitive or a list of plain types,
 the typed path does in one walk of the declared type what the V* path,
 ``type_check``, ``client.materialize`` and ``Node.marshal_outbound`` do in
-several: ``decode`` inbound, ``_encode`` outbound. It is only a fast way
-to succeed: ``receive`` and ``_send`` take the V* path for each position
-it declines, and that path produces the fault.
+several: ``decode`` inbound from parsed JSON, ``_encode`` outbound straight
+to JSON text, which ``send_call`` and ``send_result`` join around the
+envelope. It is only a fast way to succeed: ``receive`` and ``_send`` take
+the V* path for each position it declines, and that path produces the
+fault.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from typing import Any, Callable, Iterable
 
 from .errors import BadEnvelopeError, FaultCode
@@ -287,8 +290,19 @@ class _Unfit(Exception):
 
 
 _MISSING = object()  # stands for an absent "v" key; its type fits no scalar
-# Prim -> (wire tag, exact Python type, bulk rule), one lookup per position
-_SCALAR = {prim: (prim.value, py_type, rule) for prim, _, py_type, rule in SCALARS}
+# The JSON text of a payload of exactly the Python type, as _dumps writes it
+_WRITE = {
+    Prim.BOOL: {False: "false", True: "true"}.__getitem__,
+    Prim.I64: int.__repr__,
+    Prim.F64: float.__repr__,  # the bulk rule admits only finite floats
+    Prim.STR: encode_basestring,  # what ensure_ascii=False uses
+}
+# Prim -> (wire tag, exact Python type, bulk rule, writer, text before the
+# payload), one lookup per position
+_SCALAR = {
+    prim: (prim.value, py_type, rule, _WRITE[prim], f'{{"t":"{prim.value}","v":')
+    for prim, _, py_type, rule in SCALARS
+}
 
 
 def _fits(xs, row) -> bool:
@@ -352,23 +366,25 @@ def decode(obj, t: TypeRef):
     return _accept([_payload(obj, row[0])], row)[0]
 
 
-def _encode(x, t: TypeRef, marshal: Marshal):
-    """JSON-ready data of ``x`` at plain type ``t``; ``marshal`` answers each
+def _encode(x, t: TypeRef, marshal: Marshal) -> str:
+    """JSON text of ``x`` at plain type ``t``; ``marshal`` answers each
     position ``x`` does not fit."""
     if type(t) is ListOf:
         if type(x) is list or type(x) is tuple:
             row = _SCALAR.get(t.elem)
             if row is not None and _fits(x, row):
-                tag = row[0]
-                return {"t": "list", "v": [{"t": tag, "v": item} for item in x]}
-            elem = t.elem
-            return {"t": "list", "v": [_encode(item, elem, marshal) for item in x]}
+                head = row[4]
+                items = head + ("}," + head).join(map(row[3], x)) + "}" if x else ""
+            else:
+                elem = t.elem
+                items = ",".join([_encode(item, elem, marshal) for item in x])
+            return '{"t":"list","v":[' + items + "]}"
     elif t is Prim.NULL:
         if x is None:
-            return {"t": "null"}
+            return '{"t":"null"}'
     elif _fits([x], row := _SCALAR[t]):
-        return {"t": row[0], "v": x}
-    return _value_obj(marshal(x, t))
+        return row[4] + row[3](x) + "}"
+    return _dumps(_value_obj(marshal(x, t)))
 
 
 def receive(
@@ -402,20 +418,18 @@ def receive(
     return values, misfits
 
 
-def _send(x, t: TypeRef, marshal: Marshal):
+def _send(x, t: TypeRef, marshal: Marshal) -> str:
     if plain(t):
         return _encode(x, t, marshal)
-    return _value_obj(marshal(x, t))
+    return _dumps(_value_obj(marshal(x, t)))
 
 
 def send_call(method: str, params, args, marshal_at: Callable[[int], Marshal]) -> str:
     """Call envelope text; ``marshal_at(i)`` marshals argument ``i``."""
-    return _dumps({
-        "method": method,
-        "args": [_send(a, t, marshal_at(i)) for i, (a, t) in enumerate(zip(args, params))],
-    })
+    texts = [_send(a, t, marshal_at(i)) for i, (a, t) in enumerate(zip(args, params))]
+    return '{"method":' + encode_basestring(method) + ',"args":[' + ",".join(texts) + "]}"
 
 
 def send_result(x, t: TypeRef, marshal: Marshal) -> str:
     """Reply envelope text for a result."""
-    return _dumps({"result": _send(x, t, marshal)})
+    return '{"result":' + _send(x, t, marshal) + "}"

@@ -7,9 +7,13 @@ and equivalence tests check two routes against each other.
 
 from __future__ import annotations
 
+import contextlib
 import random
+import re
+import socket
 import string
 import struct
+import threading
 
 import pytest
 
@@ -218,3 +222,54 @@ def make_node():
     yield factory
     for node in nodes:
         node.stop()
+
+
+def _read_request(conn: socket.socket):
+    """Read one HTTP request, its head and Content-Length body, off ``conn``."""
+    data = b""
+    while True:
+        head, end, body = data.partition(b"\r\n\r\n")
+        if end:
+            length = re.search(rb"(?i)\r\ncontent-length:\s*(\d+)", head)
+            if len(body) >= (int(length[1]) if length else 0):
+                return
+        chunk = conn.recv(65536)
+        if not chunk:
+            raise ConnectionError("the client hung up")
+        data += chunk
+
+
+@pytest.fixture
+def raw_reply():
+    """Factory for local sockets that each read one HTTP request, answer it
+    with the given raw bytes and close; returns the port. At teardown, no
+    socket may have had a second connection: calls are at-most-once."""
+    listeners, threads = [], []
+
+    def serve(reply: bytes) -> int:
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(5)
+
+        def answer():
+            with contextlib.suppress(OSError):  # the client may hang up first
+                conn, _ = listener.accept()
+                with conn:
+                    conn.settimeout(5)
+                    _read_request(conn)
+                    conn.sendall(reply)
+                    conn.shutdown(socket.SHUT_WR)
+
+        listeners.append(listener)
+        threads.append(threading.Thread(target=answer, daemon=True))
+        threads[-1].start()
+        return listener.getsockname()[1]
+
+    yield serve
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    for listener in listeners:
+        listener.setblocking(False)
+        with pytest.raises(BlockingIOError):
+            listener.accept()
+        listener.close()

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import functools
+import http.client
 import pickle
 import threading
 import time
@@ -187,6 +189,38 @@ def test_non_utf8_reply_body_is_bad_envelope():
             post_call("127.0.0.1", port, "/x", CallEnvelope("m"), timeout=5)
         with pytest.raises(BadEnvelopeError):
             http_get("127.0.0.1", port, "/x?wsdl", timeout=5)
+
+
+# Replies http.client cannot read, by the error each raises there
+_MALFORMED_REPLIES = {
+    "IncompleteRead": b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nabc",
+    "BadStatusLine": b"SPDY/9 hello\r\n",
+    "LineTooLong": b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 70000 + b"\r\n\r\n",
+}
+
+
+@pytest.mark.parametrize("via", ["proxy", "GET"])
+@pytest.mark.parametrize("error", sorted(_MALFORMED_REPLIES))
+def test_malformed_http_reply_is_a_network_error(make_node, raw_reply, error, via):
+    """A reply http.client cannot parse raises NetworkError from a proxy
+    call and a GET alike, once: the call is not retried."""
+    port = raw_reply(_MALFORMED_REPLIES[error])
+    if via == "proxy":
+        request = make_node().proxy_for_ior(Ior("127.0.0.1", port, 0, "INamedEntity")).getName
+    else:
+        request = functools.partial(http_get, "127.0.0.1", port, "/x?wsdl", timeout=5)
+    with pytest.raises(NetworkError) as info:
+        request()
+    assert type(info.value.__cause__).__name__ == error
+
+
+def test_reference_to_an_unusable_host_is_a_network_error(make_node):
+    """http.client refuses a host with a space as an InvalidURL."""
+    proxy = make_node().proxy_for_ior(Ior("bad host", 1, 0, "INamedEntity"))
+    for request in (proxy.getName, functools.partial(http_get, "bad host", 1, "/", timeout=5)):
+        with pytest.raises(NetworkError) as info:
+            request()
+        assert type(info.value.__cause__) is http.client.InvalidURL
 
 
 # ---------------------------------------------------------------------------

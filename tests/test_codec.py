@@ -41,7 +41,18 @@ from refbus import (
 from refbus import wire as codec  # the typed path lives in refbus.wire
 from refbus.policy import RETURN, ParamPos
 from refbus.scenarios import IPERSON, PERSON_CLASS, Person
-from refbus.values import I64_MAX, I64_MIN, Ior, VBool, VFloat, VInt, VList, VRecord, VStr
+from refbus.values import (
+    I64_MAX,
+    I64_MIN,
+    Ior,
+    VBool,
+    VFloat,
+    VInt,
+    VList,
+    VRecord,
+    VStr,
+    to_value,
+)
 from refbus.wire import CallEnvelope, ReplyEnvelope, decode_reply, encode_call, encode_reply
 
 PT = RecordType("Pt")
@@ -277,6 +288,59 @@ def test_compiled_codec_matches_the_value_path(world, monkeypatch):
     assert seen["well-typed ok"] == 160
     assert seen["mutant fault"] > 300 and seen["mutant ok"] > 5
     assert seen["encode raised"] > 80 and seen["encode ok"] > 200
+
+
+# Scalars whose JSON text is easy to get wrong, by the type they go at
+_EDGE_SCALARS = {
+    Prim.F64: [-0.0, 5e-324, 1e16, 1e22, 3.0, 0.1, 1.7976931348623157e308],
+    Prim.STR: ['"', "\\", "/", "\x00", "\x1f", "\x7f", "\u2028", "é", "💡", ""],
+    Prim.I64: [I64_MIN, I64_MAX, 0, -1],
+    Prim.BOOL: [True, False],
+}
+_EDGE_CASES = (
+    [(x, t) for t, xs in _EDGE_SCALARS.items() for x in xs]
+    + [(xs, ListOf(t)) for t, xs in _EDGE_SCALARS.items()]
+    + [(x, ListOf(t)) for t in _EDGE_SCALARS for x in ([], ())]
+    + [([["a", "é"], []], ListOf(ListOf(Prim.STR))), ([], ListOf(ListOf(Prim.STR)))]
+)
+
+
+def _v_star(x, t):
+    return to_value(x, t, _refuse)
+
+
+def _texts(method: str, x, t, marshal) -> tuple[str, str]:
+    """The reply and call texts of ``x`` at ``t`` on the typed path."""
+    return (
+        codec.send_result(x, t, marshal),
+        codec.send_call(method, (t,), [x], lambda i: marshal),
+    )
+
+
+def _oracle_texts(method: str, x, t, marshal) -> tuple[str, str]:
+    """The same texts on the V* path."""
+    v = marshal(x, t)
+    return encode_reply(ReplyEnvelope.ok(v)), encode_call(CallEnvelope(method, [v]))
+
+
+def test_edge_scalars_write_the_value_path_bytes():
+    method = 'tåke"\\'  # the method name is escaped as the V* path escapes it
+    for x, t in _EDGE_CASES:
+        assert _texts(method, x, t, _refuse) == _oracle_texts(method, x, t, _v_star), (x, t)
+
+
+def test_a_scalar_subclass_falls_back_to_the_value_path():
+    """repr(Level.LOW) is not 1: only the V* path may write an IntEnum."""
+    marshalled = []
+
+    def marshal(x, t):
+        marshalled.append(x)
+        return _v_star(x, t)
+
+    x, t = [1, Level.LOW], ListOf(Prim.I64)
+    texts = _texts("take", x, t, marshal)
+    assert marshalled == [Level.LOW, Level.LOW]
+    assert texts == _oracle_texts("take", x, t, _v_star)
 
 
 class Pair:
@@ -515,9 +579,16 @@ class Echo:
         return values
 
 
-def test_hot_path_builds_no_values(make_node, value_counts):
-    """A well-typed list<i64> echo makes no VInt or VList on either side; a
-    misfit element does, because the V* path answers it."""
+def test_hot_path_builds_no_values(make_node, value_counts, monkeypatch):
+    """A well-typed list<i64> echo makes no VInt or VList and no JSON
+    encoder call on either side; a misfit element does, because the V* path
+    answers it."""
+    dumps = codec._dumps
+
+    def counted_dumps(obj):
+        value_counts["_dumps"] += 1
+        return dumps(obj)
+
     node = make_node(demo=False)
     iface = InterfaceDescriptor("IEcho", [MethodSig("echo", (ListOf(Prim.I64),), ListOf(Prim.I64))])
     node.register_interface(iface)
@@ -531,6 +602,7 @@ def test_hot_path_builds_no_values(make_node, value_counts):
     def echo_body():
         return json.dumps({"method": "echo", "args": [{"t": "list", "v": items}]}).encode("utf-8")
 
+    monkeypatch.setattr(codec, "_dumps", counted_dumps)
     _, text = node.handle_request("POST", "/echo", "", echo_body())
     assert json.loads(text) == {"result": {"t": "list", "v": items}}
     assert proxy.echo(values) == values
@@ -540,6 +612,7 @@ def test_hot_path_builds_no_values(make_node, value_counts):
     _, text = node.handle_request("POST", "/echo", "", echo_body())
     assert decode_reply(text).fault.code is FaultCode.BAD_ENVELOPE
     assert value_counts["VInt"] > 0
+    assert value_counts["_dumps"] > 0
     value_counts.clear()
     with pytest.raises(TypeMismatchError):
         proxy.echo(values[:500] + [2**70])

@@ -142,6 +142,13 @@ def test_unreachable_host_exit_2(capsys):
     assert err
 
 
+def test_malformed_http_reply_exit_2(raw_reply, capsys):
+    port = raw_reply(b"SPDY/9 hello\r\n")
+    code, out, err = _run(capsys, f"127.0.0.1:{port}", "list")
+    assert (code, out) == (EXIT_NETWORK, "")
+    assert err.startswith("refbus-inspect: GET ") and err.count("\n") == 1
+
+
 def test_usage_error_exit_4(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["127.0.0.1:1", "frobnicate"])
