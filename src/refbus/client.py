@@ -15,6 +15,7 @@ import functools
 import http.client
 import socket
 from dataclasses import dataclass
+from threading import TIMEOUT_MAX
 
 from .errors import (
     BadEnvelopeError,
@@ -39,9 +40,18 @@ from .values import (
     type_check,  # unused here; bench/tracer.py patches refbus.client.type_check
 )
 from .wire import CallEnvelope, ReplyEnvelope, decode_reply, encode_call
-from .wire import loads, receive, reply_shape, send_call
+from .wire import loads, read_reply, receive, reply_shape, send_call
 
 DEFAULT_TIMEOUT = 30.0
+
+
+def _check_timeout(timeout) -> None:
+    """Refuse a timeout that a socket would refuse, or read as no timeout,
+    before any argument is marshalled."""
+    if isinstance(timeout, bool) or not isinstance(timeout, (int, float)):
+        raise TypeError(f"timeout must be a number of seconds, got {type(timeout).__name__}")
+    if not 0 < timeout <= TIMEOUT_MAX:  # NaN fails too
+        raise ValueError(f"timeout must be positive and at most {TIMEOUT_MAX} s, got {timeout!r}")
 
 
 @dataclass(frozen=True)
@@ -50,6 +60,9 @@ class CallOptions:
 
     override: CallOverride | None = None
     timeout: float = DEFAULT_TIMEOUT
+
+    def __post_init__(self):
+        _check_timeout(self.timeout)
 
 
 DEFAULT_OPTIONS = CallOptions()
@@ -141,6 +154,9 @@ class Proxy:
             send_call(method, sig.params, args, marshal_at),
             opts.timeout,
         )
+        read = read_reply(data, sig.returns)
+        if read is not None:
+            return read
         result, fault = reply_shape(loads(data))
         if fault is not None:
             raise fault_error(fault.code, fault.message)
@@ -220,6 +236,7 @@ def get_component_by_name(node, name, host, port, timeout: float = DEFAULT_TIMEO
     endpoint to resolve itself into a remote reference.
     """
     validate_name(name)
+    _check_timeout(timeout)
     doc = loads(http_get(host, port, f"/{name}?wsdl", timeout))
     if isinstance(doc, dict) and "fault" in doc:
         _, fault = reply_shape(doc)

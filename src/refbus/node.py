@@ -72,7 +72,7 @@ from .values import (
     typeref_name,
 )
 from .wire import CallEnvelope, ReplyEnvelope, encode_reply
-from .wire import call_shape, loads, parse_args, receive, send_result
+from .wire import call_shape, loads, parse_args, read_call, receive, send_result
 from .wire import decode_call  # unused here; bench/tracer.py patches refbus.node.decode_call
 
 MAX_BODY_BYTES = 16 * 1024 * 1024
@@ -416,17 +416,22 @@ class Node:
         try:
             if dep is None:
                 raise UnknownServiceError(f"no such service: {path}")
-            method, args = call_shape(loads(body))
-            sig = dep.iface.method(method)  # None for a reserved or unknown method
-            if sig is None or len(args) != len(sig.params):
-                result = self._dispatch(dep, method, parse_args(args))
-                return encode_reply(ReplyEnvelope.ok(result))
-            args, misfits = receive(
-                args, sig.params, self.env, "$.args[{}]",
-                functools.partial(_client.materialize, self),
-            )
-            if misfits:
-                raise TypeMismatchError("; ".join(f"arg {i} {m}" for i, ms in misfits for m in ms))
+            if read := read_call(body, dep.iface.method):
+                method, sig, args = read
+            else:
+                method, args = call_shape(loads(body))
+                sig = dep.iface.method(method)  # None for a reserved or unknown method
+                if sig is None or len(args) != len(sig.params):
+                    result = self._dispatch(dep, method, parse_args(args))
+                    return encode_reply(ReplyEnvelope.ok(result))
+                args, misfits = receive(
+                    args, sig.params, self.env, "$.args[{}]",
+                    functools.partial(_client.materialize, self),
+                )
+                if misfits:
+                    raise TypeMismatchError(
+                        "; ".join(f"arg {i} {m}" for i, ms in misfits for m in ms)
+                    )
             result = self._invoke(dep, method, args)
             marshal = functools.partial(
                 self.marshal_outbound, iface_name=dep.iface.name, method_name=method, position=RETURN

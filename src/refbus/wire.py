@@ -17,6 +17,14 @@ to JSON text, which ``send_call`` and ``send_result`` join around the
 envelope. It is only a fast way to succeed: ``receive`` and ``_send`` take
 the V* path for each position it declines, and that path produces the
 fault.
+
+``read_call`` and ``read_reply`` go one step further for the one argument
+of a call, or the result of a reply, declared ``readable`` (a list of i64,
+f64 or bool): where the body is the canonical text ``_encode`` writes,
+they read the payloads straight from it with one ``json.loads`` of a bare
+array, and build no element object. Anything else they decline before
+parsing, or after, where a payload does not fit; ``loads`` and the paths
+above then answer the body, faults included.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
+from json.decoder import scanstring
 from json.encoder import encode_basestring
 from typing import Any, Callable, Iterable
 
@@ -305,6 +314,10 @@ _SCALAR = {
 }
 
 
+# The text every list value starts with
+_LIST_HEAD = '{"t":"list","v":['
+
+
 def _fits(xs, row) -> bool:
     return not xs or (set(map(type, xs)) == {row[1]} and row[2](xs))
 
@@ -378,7 +391,7 @@ def _encode(x, t: TypeRef, marshal: Marshal) -> str:
             else:
                 elem = t.elem
                 items = ",".join([_encode(item, elem, marshal) for item in x])
-            return '{"t":"list","v":[' + items + "]}"
+            return _LIST_HEAD + items + "]}"
     elif t is Prim.NULL:
         if x is None:
             return '{"t":"null"}'
@@ -433,3 +446,78 @@ def send_call(method: str, params, args, marshal_at: Callable[[int], Marshal]) -
 def send_result(x, t: TypeRef, marshal: Marshal) -> str:
     """Reply envelope text for a result."""
     return '{"result":' + _send(x, t, marshal) + "}"
+
+
+def _read_list(text: str, start: int, end: int, t: ListOf) -> list | None:
+    """The payloads of the list whose text runs from ``start`` to the
+    closing ``]}`` at ``end``; None where that text is not the canonical
+    text of a list of ``t``, or a payload does not fit.
+
+    Each separator between elements becomes a comma, and one ``json.loads``
+    parses the payloads as a bare array. Numbers and bools hold no quote,
+    comma or bracket, so an array of exactly one more number or bool than
+    there are separators proves that each piece was one payload.
+    """
+    if not text.startswith(_LIST_HEAD, start, end):
+        return None
+    start += len(_LIST_HEAD)
+    if start == end:
+        return []
+    row = _SCALAR[t.elem]
+    head = row[4]
+    if not (text.startswith(head, start, end) and text[end - 1] == "}"):
+        return None
+    sep = "}," + head
+    pieces = text[start + len(head) : end - 1]
+    joined = pieces.replace(sep, ",")
+    try:
+        payloads = json.loads("[" + joined + "]", parse_constant=_reject_constant)
+        # each replaced separator left len(sep) - 1 characters fewer
+        if len(payloads) == (len(pieces) - len(joined)) // (len(sep) - 1) + 1:
+            return _accept(payloads, row)
+    except (ValueError, RecursionError, _Unfit):
+        pass
+    return None
+
+
+def readable(t: TypeRef) -> bool:
+    """Whether ``read_call`` and ``read_reply`` read values of ``t``: a
+    plain list of i64, f64 or bool, whose payloads hold no quote, comma or
+    bracket. A list of str stays out: a string can span a separator."""
+    return type(t) is ListOf and t.elem in (Prim.I64, Prim.F64, Prim.BOOL) and plain(t)
+
+
+def read_call(body: bytes, sig_of: Callable[[str], Any]) -> tuple[str, Any, list] | None:
+    """(method, signature, [argument]) of a call whose one parameter is
+    ``readable``, read straight from the body text; ``sig_of(method)`` is
+    the signature, with its ``params``, or None. None where the reader
+    declines: ``loads``, ``call_shape`` and ``receive`` then answer the
+    body, so only a misfit or malformed list body is parsed twice."""
+    if not (body.startswith(b'{"method":"') and body.endswith(b"]}]}")):
+        return None
+    try:
+        text = body.decode("utf-8")
+        method, end = scanstring(text, 11)
+    except ValueError:  # not UTF-8, or not a JSON string
+        return None
+    sig = sig_of(method)
+    if sig is None or len(sig.params) != 1 or not readable(sig.params[0]):
+        return None
+    if not text.startswith(',"args":[', end):
+        return None
+    arg = _read_list(text, end + 9, len(text) - 4, sig.params[0])
+    return None if arg is None else (method, sig, [arg])
+
+
+def read_reply(data: bytes, t: TypeRef) -> list | None:
+    """The result of a reply at a ``readable`` type ``t``, read straight
+    from the body text. None where the reader declines, a fault included:
+    ``loads``, ``reply_shape`` and ``receive`` then answer the body, so
+    only a misfit or malformed list reply is parsed twice."""
+    if not (readable(t) and data.startswith(b'{"result":') and data.endswith(b"]}}")):
+        return None
+    try:
+        text = data.decode("utf-8")
+    except ValueError:
+        return None
+    return _read_list(text, 10, len(text) - 3, t)

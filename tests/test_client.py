@@ -7,6 +7,7 @@ import contextlib
 import copy
 import functools
 import http.client
+import math
 import pickle
 import threading
 import time
@@ -269,6 +270,36 @@ def test_call_timeout(make_node):
     sleeper = consumer.get_component_by_name("sleeper", node.host, node.port)
     with pytest.raises(CallTimeout):
         sleeper.invoke("nap", (), CallOptions(timeout=0.1))
+
+
+@pytest.mark.parametrize(
+    "timeout, error",
+    [
+        (-1, ValueError), (0, ValueError), (math.nan, ValueError), (math.inf, ValueError),
+        (threading.TIMEOUT_MAX * 2, ValueError), (True, TypeError), ("5", TypeError),
+        (None, TypeError),
+    ],
+    ids=["-1", "0", "nan", "inf", "past TIMEOUT_MAX", "True", "str", "None"],
+)
+def test_a_timeout_is_a_positive_finite_number(timeout, error, monkeypatch):
+    """A bad timeout is refused where the options are built, so no argument
+    is marshalled (or deployed by reference) for a call that cannot be
+    sent; before, -1 and NaN left the call as a bare ValueError, inf as
+    OverflowError and 0 as a NetworkError."""
+    with pytest.raises(error, match="^timeout must be"):
+        CallOptions(timeout=timeout)
+
+    def no_io(*args):
+        raise AssertionError("a bad timeout reached the network")
+
+    monkeypatch.setattr(refbus.client, "_http_request", no_io)
+    with pytest.raises(error, match="^timeout must be"):
+        Node().get_component_by_name("bob", "127.0.0.1", 1, timeout=timeout)
+
+
+def test_a_timeout_may_be_any_positive_number_a_socket_takes():
+    for timeout in (1, 0.001, 5e-324, threading.TIMEOUT_MAX):
+        assert CallOptions(timeout=timeout).timeout == timeout
 
 
 def test_unrepresentable_numbers_fault_before_sending(make_node, monkeypatch):

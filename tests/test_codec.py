@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import random
+import re
 import struct
 from collections import Counter
 
@@ -581,13 +582,19 @@ class Echo:
 
 def test_hot_path_builds_no_values(make_node, value_counts, monkeypatch):
     """A well-typed list<i64> echo makes no VInt or VList and no JSON
-    encoder call on either side; a misfit element does, because the V* path
-    answers it."""
-    dumps = codec._dumps
+    encoder call on either side, and through a proxy hands json.loads no
+    text that holds an element object; a misfit element does, because the
+    V* path answers it."""
+    dumps, loads = codec._dumps, json.loads
 
     def counted_dumps(obj):
         value_counts["_dumps"] += 1
         return dumps(obj)
+
+    def counted_loads(text, **kwargs):
+        if '"i64"' in (text.decode() if isinstance(text, bytes) else text):
+            value_counts["element loads"] += 1
+        return loads(text, **kwargs)
 
     node = make_node(demo=False)
     iface = InterfaceDescriptor("IEcho", [MethodSig("echo", (ListOf(Prim.I64),), ListOf(Prim.I64))])
@@ -605,6 +612,7 @@ def test_hot_path_builds_no_values(make_node, value_counts, monkeypatch):
     monkeypatch.setattr(codec, "_dumps", counted_dumps)
     _, text = node.handle_request("POST", "/echo", "", echo_body())
     assert json.loads(text) == {"result": {"t": "list", "v": items}}
+    monkeypatch.setattr(json, "loads", counted_loads)
     assert proxy.echo(values) == values
     assert value_counts == {}
 
@@ -613,7 +621,168 @@ def test_hot_path_builds_no_values(make_node, value_counts, monkeypatch):
     assert decode_reply(text).fault.code is FaultCode.BAD_ENVELOPE
     assert value_counts["VInt"] > 0
     assert value_counts["_dumps"] > 0
+    assert value_counts["element loads"] > 0
     value_counts.clear()
     with pytest.raises(TypeMismatchError):
         proxy.echo(values[:500] + [2**70])
     assert value_counts["VInt"] > 0
+
+
+# The list types wire.read_call and wire.read_reply read from the text
+_READABLE = [ListOf(Prim.I64), ListOf(Prim.F64), ListOf(Prim.BOOL)]
+# Text a mutant splices in: glue of the canonical form, and payload text
+_SPLICES = [
+    ",", "}", "{", "[", "]", '"', ":", " ", "\t", "-", "0", "1", "e", ".", "true", "NaN",
+    '"v":', '},{"t":"i64","v":', '},{"t":"f64","v":', '},{"t":"bool","v":', '"t":"f64",',
+]
+_PAYLOADS = [
+    "NaN", "Infinity", "-Infinity", "1e5", "-0", "-0.0", "1" * 5000, " 1", "1 ", "\n1\t",
+    "true", "false", "null", "1.5", "01", "-", '"a"', "[1]", "{}", "", "1,2", "1E400",
+    str(I64_MAX + 1), str(I64_MIN),
+]
+_PAYLOAD_AT = re.compile(r'(?<="v":)(-?[0-9.eE+]+|true|false)')
+
+
+def _rand_readable(rng, t):
+    n = rng.choice([0, 1, 2, 3, 5, 8, 30])
+    if t.elem is Prim.BOOL:
+        return [rng.random() < 0.5 for _ in range(n)]
+    return [rand_python(rng, t.elem, []) for _ in range(n)]
+
+
+def mutate_text(rng, text: str) -> str:
+    """``text`` with one seeded edit: a cut, a splice, a character swapped
+    for a splice, a repeated span, or a payload swapped for other text."""
+    i, j = sorted(rng.randrange(len(text) + 1) for _ in range(2))
+    payloads = list(_PAYLOAD_AT.finditer(text))
+    op = rng.randrange(5 if payloads else 4)
+    if op == 0:
+        return text[:i] + text[i + rng.randint(1, 3) :]
+    if op == 1:
+        return text[:i] + rng.choice(_SPLICES) + text[i:]
+    if op == 2:
+        return text[:i] + rng.choice(_SPLICES) + text[i + 1 :]
+    if op == 3:
+        return text[:j] + text[i:j] + text[j:]
+    m = rng.choice(payloads)
+    return text[: m.start()] + rng.choice(_PAYLOADS) + text[m.end() :]
+
+
+def _list_text(tag: str, payloads) -> str:
+    items = ",".join('{"t":"%s","v":%s}' % (tag, p) for p in payloads)
+    return '{"t":"list","v":[' + items + "]}"
+
+
+def _call_text(args: str, method: str = "take") -> str:
+    return '{"method":"' + method + '","args":[' + args + "]}"
+
+
+def _reply_text(result: str) -> str:
+    return '{"result":' + result + "}"
+
+
+_I64S, _F64S, _BOOLS = _READABLE
+_ONES, _TWOS = _list_text("i64", ["1"]), _list_text("i64", ["2"])
+# (type, list text) that a reader of the list text could get wrong
+_PINNED_LISTS = [
+    (_I64S, '{"t":"list","v":[{"t":"i64","v":"a},{"t":"i64","v":b"}]}'),  # "a,b"
+    (_I64S, '{"t":"list","v":[{"t":"i64","v":1,"v":2}]}'),
+    (_I64S, '{"t":"list","v":[{"t":"i64","v":1},{"t":"i64","v":2,"v":3}]}'),
+    (_I64S, '{"t":"list","v":[{"t":"i64","v":1,[2},{"t":"i64","v":3]}]}'),  # [1,[2,3]]
+    (_F64S, _list_text("f64", ["1.5", "NaN"])),
+    (_I64S, _list_text("i64", ["7", "1e5"])),
+    (_I64S, _list_text("i64", ["-0", "5"])),
+    (_F64S, _list_text("f64", ["-0", "-0.0"])),
+    (_I64S, _list_text("i64", ["1" * 5000])),
+    (_F64S, _list_text("f64", ["1" * 5000])),
+    (_I64S, _list_text("i64", [" 1", "2\n", "\t3 "])),
+    (_BOOLS, _list_text("bool", [" true", "false "])),
+    (_I64S, _list_text("i64", ["1 ,2"])),
+    (_I64S, '{"t":"list","v":[{"t":"i64","v":12]}'),
+    (_I64S, _ONES.replace('"list"', '"LIST"')),
+    # not readable: a quote can span a separator, so pieces "a"," and "
+    # would read as ["a", ","]
+    (ListOf(Prim.STR), '{"t":"list","v":[{"t":"str","v":"a","},{"t":"str","v":"}]}'),
+]
+# (type, call body, reply): the pinned lists, then whole-body cases
+_PINNED = [(t, _call_text(text), _reply_text(text)) for t, text in _PINNED_LISTS] + [
+    (_I64S, "\ufeff" + _call_text(_ONES), "\ufeff" + _reply_text(_ONES)),
+    (_I64S, _call_text(_ONES, r"take\ud800"), _reply_text(_ONES) + " "),
+    (_I64S, _call_text(_ONES).replace("args", "argz"), _reply_text(_ONES)[:-1] + "]"),
+    (  # a second key smuggled in after the list
+        _I64S,
+        _call_text(_ONES + '],"method":"take","args":[' + _TWOS),
+        '{"result":' + _ONES + ',"result":' + _TWOS + "}",
+    ),
+    (
+        _I64S,
+        _call_text(_ONES + "," + _TWOS),
+        '{"result":' + _ONES + ',"fault":{"code":"INTERNAL","message":"m"}}',
+    ),
+]
+
+
+def test_text_reader_matches_the_parsed_path(world, monkeypatch):
+    """Seeded canonical list<i64|f64|bool> bodies and replies, text mutants
+    of them and the pinned cases give the same reply text, the same
+    received values and the same client outcome whether the text reader
+    reads them or declines each one to the parsed path."""
+    node, _, _ = world
+    rng = random.Random(20261019)
+    seen = Counter()
+    deployed = {
+        t: _deploy_taker(node, f"read_{t.elem.value}", (t,), t)
+        for t in _READABLE + [ListOf(Prim.STR)]
+    }
+
+    def serve(t, body: bytes, read: bool):
+        taker, _ = deployed[t]
+        taker.received.clear()
+        with monkeypatch.context() as m:
+            if not read:
+                m.setattr(refbus.node, "read_call", lambda body, sig_of: None)
+            _, text = node.handle_request("POST", f"/read_{t.elem.value}", "", body)
+        return text, list(taker.received)
+
+    def ask(t, reply: bytes, read: bool):
+        _, proxy = deployed[t]
+        with monkeypatch.context() as m:
+            m.setattr(refbus.client, "post_call", lambda *args: reply)
+            if not read:
+                m.setattr(refbus.client, "read_reply", lambda data, t: None)
+            return outcome(lambda: proxy.take([]))
+
+    def check(t, body: str, reply: str):
+        body, reply = body.encode(), reply.encode()
+        read_text, read_got = serve(t, body, read=True)
+        parsed_text, parsed_got = serve(t, body, read=False)
+        assert read_text == parsed_text, body
+        assert len(read_got) == len(parsed_got) and all(map(same, read_got, parsed_got)), body
+        read, parsed = ask(t, reply, read=True), ask(t, reply, read=False)
+        assert read[:1] == parsed[:1] and (
+            same(read[1], parsed[1]) if read[0] == "ok" else read == parsed
+        ), reply
+        took = codec.read_call(body, deployed[t][1].iface.method) is not None
+        seen[f"call {'read' if took else 'declined'} {'ok' if read_got else 'fault'}"] += 1
+        took = codec.read_reply(reply, t) is not None
+        seen[f"reply {'read' if took else 'declined'} {read[0]}"] += 1
+
+    for t, body, reply in _PINNED:
+        check(t, body, reply)
+    for n in range(300):
+        t = _READABLE[n % 3]
+        xs = _rand_readable(rng, t)
+        body = codec.send_call("take", (t,), [xs], lambda i: _refuse)
+        reply = codec.send_result(xs, t, _refuse)
+        assert codec.read_call(body.encode(), deployed[t][1].iface.method)[2] == [xs]
+        assert same(codec.read_reply(reply.encode(), t), xs)
+        check(t, body, reply)
+        for _ in range(5):
+            check(t, mutate_text(rng, body), mutate_text(rng, reply))
+
+    # the reader takes only what the parsed path accepts, and every
+    # outcome occurs often enough for the comparison to mean something
+    assert seen["call read fault"] == seen["reply read raised"] == 0, seen
+    assert seen["call declined fault"] > 500 and seen["reply declined raised"] > 500, seen
+    assert seen["call declined ok"] > 10 and seen["reply declined ok"] > 10, seen
+    assert seen["call read ok"] > 300 and seen["reply read ok"] > 300, seen
