@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .client import http_get, post_call
+from .client import CallOptions, http_get, post_call
 from .errors import BadEnvelopeError, FaultCode, NetworkError
 from .values import (
     NULL,
@@ -187,10 +187,18 @@ def _parse_target_address(text: str) -> tuple[str, int]:
     return host, number
 
 
+def _timeout_seconds(text: str) -> float:
+    """A --timeout value, held to the rule CallOptions applies."""
+    try:
+        return CallOptions(timeout=float(text)).timeout
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def main(argv=None) -> int:
     parser = _Parser(prog="refbus-inspect", description="Probe a running refbus node.")
     parser.add_argument("target", help="node address as host:port")
-    parser.add_argument("--timeout", type=float, default=10.0)
+    parser.add_argument("--timeout", type=_timeout_seconds, default=10.0)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="list deployments")

@@ -15,7 +15,8 @@ HTTP mapping (bodies are application/json), exactly these paths:
     GET  /              deployment listing
 
 Application errors travel as fault envelopes with HTTP 200; only malformed
-HTTP itself yields a 400, as does a GET that declares a body.
+HTTP itself yields a 400, as does a GET that declares a body. The node reads
+each request's head and writes each reply itself (see ``_Handler``).
 """
 
 from __future__ import annotations
@@ -23,10 +24,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import socket
+import socketserver
 import struct
+import sys
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from urllib.parse import parse_qs
 
 from . import client as _client
@@ -79,6 +83,10 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 # Seconds a connection may send nothing before the node closes it and its
 # thread ends: between requests, or partway through one.
 IDLE_TIMEOUT_S = 30.0
+# A request's head, as http.server and http.client bound it: each line at
+# most MAX_LINE bytes with its line break, at most MAX_HEADERS header lines.
+MAX_LINE = 65536
+MAX_HEADERS = 100
 
 
 class Node:
@@ -98,7 +106,7 @@ class Node:
         self._constructors: dict[str, type] = {}
         self._host = host
         self._port = port
-        self._server: ThreadingHTTPServer | None = None
+        self._server: _Server | None = None
         self._thread: threading.Thread | None = None
 
     # ------------------------------------------------------------------
@@ -144,19 +152,17 @@ class Node:
     def start(self) -> "Node":
         if self._server is not None:
             return self
-        handler = _make_handler(self)
-        self._server = ThreadingHTTPServer((self._host, self._port), handler)
-        self._server.daemon_threads = True
+        self._server = _Server(self)
         # On Linux, accepted connections inherit this receive timeout (a
         # POSIX struct timeval), so a read that waits longer ends the
-        # connection. The handler's ``timeout`` would do the same, but a
-        # Python socket timeout polls before every read and write, which
-        # cost about 5% of a figure2_refs call.
+        # connection. A Python socket timeout on each connection would do
+        # the same, but it polls before every read and write, which cost
+        # about 5% of a figure2_refs call.
         seconds, micros = divmod(round(IDLE_TIMEOUT_S * 1e6), 1_000_000)
         self._server.socket.setsockopt(
             socket.SOL_SOCKET, socket.SO_RCVTIMEO, struct.pack("@ll", seconds, micros)
         )
-        self._port = self._server.server_port
+        self._port = self._server.server_address[1]
         self._thread = threading.Thread(
             target=lambda: self._server.serve_forever(poll_interval=0.05),
             name=f"refbus-node-{self._port}",
@@ -470,84 +476,149 @@ class Node:
             raise InternalFaultError(f"{type(exc).__name__}: {exc}") from exc
 
 
-def _body_length(headers) -> int:
+# METHOD SP request-target SP HTTP/1.x (RFC 9112 §3), the method a token.
+_REQUEST_LINE = re.compile(rb"([-!#$%&'*+.^_`|~0-9A-Za-z]+) (\S+) HTTP/1\.([0-9])\r?\n")
+
+
+def _read_line(rfile) -> bytes:
+    """One line of a request's head, with its line break. ValueError for a
+    line longer than MAX_LINE; EOFError when the peer closes the connection
+    or goes idle first."""
+    line = rfile.readline(MAX_LINE + 1)
+    if len(line) > MAX_LINE:
+        raise ValueError(f"a line of the request head is longer than {MAX_LINE} bytes")
+    if not line.endswith(b"\n"):
+        raise EOFError
+    return line
+
+
+def _read_fields(rfile) -> dict[bytes, list[bytes]]:
+    """Read header lines up to the empty line that ends a request's head;
+    returns each field's values by lower-cased name. ValueError for more
+    than MAX_HEADERS lines, a line without a colon, a space before the
+    colon (RFC 9112 §5.1 requires a 400 for it) and a folded line (obs-fold,
+    which §5.2 lets a server refuse instead of unfolding)."""
+    fields: dict[bytes, list[bytes]] = {}
+    count = 0
+    while (line := _read_line(rfile)) not in (b"\r\n", b"\n"):
+        count += 1
+        if count > MAX_HEADERS:
+            raise ValueError(f"more than {MAX_HEADERS} header lines")
+        if line[0] in b" \t":
+            raise ValueError("a folded header line (obs-fold) is not accepted")
+        name, colon, value = line.partition(b":")
+        if not (colon and name) or name[-1] in b" \t":
+            raise ValueError("a header line is a name, a colon and a value")
+        fields.setdefault(name.lower(), []).append(value.rstrip(b"\r\n"))
+    return fields
+
+
+def _tokens(fields: dict[bytes, list[bytes]], name: bytes) -> set[bytes]:
+    """The comma-separated tokens of a header field, lower-cased."""
+    values = fields.get(name, ())
+    return {token.strip(b" \t").lower() for value in values for token in value.split(b",")}
+
+
+def _body_length(fields: dict[bytes, list[bytes]]) -> int:
     """The body length a request declares. RFC 7230 §3.3.2-3.3.3 allow one
     Content-Length of ASCII digits; a request with Transfer-Encoding, or
     with any other Content-Length, raises ValueError."""
-    if "Transfer-Encoding" in headers:
+    if b"transfer-encoding" in fields:
         raise ValueError("Transfer-Encoding is not supported")
-    values = headers.get_all("Content-Length", [])
-    text = values[0].strip(" \t") if len(values) == 1 else ""
-    if not (text.isascii() and text.isdigit()):
+    values = fields.get(b"content-length", [])
+    text = values[0].strip(b" \t") if len(values) == 1 else b""
+    if not text.isdigit():  # bytes.isdigit: ASCII digits only
         raise ValueError("missing or invalid Content-Length")
-    digits = text.lstrip("0") or "0"  # int() has a digit limit; zeros may pad
+    digits = text.lstrip(b"0") or b"0"  # int() has a digit limit; zeros may pad
     if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
         raise ValueError("Content-Length out of bounds")
     return int(digits)
 
 
-def _make_handler(node: Node):
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-        # Buffer each response so headers and body leave in one write; the
-        # request loop flushes after every request. Written separately, the
-        # body waited under Nagle's algorithm for the client's delayed ACK
-        # of the headers, about 40 ms per keep-alive reply. A body larger
-        # than the buffer still takes two writes, which TCP_NODELAY sends
-        # without that wait.
-        wbufsize = -1
-        disable_nagle_algorithm = True
+@functools.cache
+def _reply_head(status: int, keep_open: bool) -> bytes:
+    """A reply's status line and headers, up to the Content-Length value."""
+    close = b"" if keep_open else b"Connection: close\r\n"
+    phrase = HTTPStatus(status).phrase.encode("ascii")
+    return b"HTTP/1.1 %d %s\r\nContent-Type: application/json\r\n%sContent-Length: " % (
+        status, phrase, close,
+    )
 
-        def handle_expect_100(self):
-            # "100 Continue" must reach the client before it sends the body.
-            ok = super().handle_expect_100()
-            self.wfile.flush()
-            return ok
 
-        def log_message(self, format, *args):
-            pass
+def _send(sock: socket.socket, status: int, text: str, keep_open: bool):
+    data = text.encode("utf-8")
+    # One write: a body sent apart from its head would wait for the peer's
+    # delayed ACK under Nagle's algorithm, about 40 ms per keep-alive reply.
+    sock.sendall(b"%s%d\r\n\r\n%s" % (_reply_head(status, keep_open), len(data), data))
 
-        def _respond(self, status: int, text: str):
-            if status != 200:
-                # the request body may be unread; do not reuse the connection
-                self.close_connection = True
-            data = text.encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
 
-        def _reject(self, message: str):
-            self._respond(400, json.dumps({"error": message}, separators=(",", ":")))
+def _read_request(sock: socket.socket, rfile) -> tuple[str, str, bool, bytes]:
+    """(method, target, keep the connection open, body) of one request;
+    ValueError for a request to refuse with 400."""
+    line = _read_line(rfile)
+    if line in (b"\r\n", b"\n"):  # RFC 9112 §2.2: one may precede a request
+        line = _read_line(rfile)
+    request = _REQUEST_LINE.fullmatch(line)
+    if request is None:
+        raise ValueError("a request line is METHOD target HTTP/1.x")
+    method, target, minor = request.groups()
+    fields = _read_fields(rfile)
+    http10 = minor == b"0"
+    keep_open = not http10 and b"close" not in _tokens(fields, b"connection")
+    body = b""
+    if method == b"POST":
+        length = _body_length(fields)
+        if not http10 and b"100-continue" in _tokens(fields, b"expect"):
+            sock.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+        body = rfile.read(length)
+        if body is None or len(body) < length:  # the peer went idle or away
+            raise EOFError
+    elif method == b"GET" and (b"transfer-encoding" in fields or b"content-length" in fields):
+        # An unread body would be parsed as the next request.
+        if _body_length(fields):
+            raise ValueError("a GET request must not have a body")
+    return method.decode("ascii"), target.decode("latin-1"), keep_open, body
 
-        def do_GET(self):
-            # An unread body would be parsed as the next request.
-            if "Transfer-Encoding" in self.headers or "Content-Length" in self.headers:
-                try:
-                    length = _body_length(self.headers)
-                except ValueError as exc:
-                    return self._reject(str(exc))
-                if length:
-                    return self._reject("a GET request must not have a body")
-            path, _, query = self.path.partition("?")
-            status, text = node.handle_request("GET", path, query, b"")
-            self._respond(status, text)
 
-        def do_POST(self):
+class _Handler(socketserver.BaseRequestHandler):
+    """Serves one connection: reads each request's head with bytes
+    operations and answers it in one write, until the peer closes, goes
+    idle, or a request ends the connection."""
+
+    def handle(self):
+        sock = self.request
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        with sock.makefile("rb") as rfile:
             try:
-                length = _body_length(self.headers)
-            except ValueError as exc:
-                return self._reject(str(exc))
-            body = self.rfile.read(length)
-            if body is None or len(body) < length:  # the peer went idle or away
-                self.close_connection = True
-                return
-            path, _, query = self.path.partition("?")
-            status, text = node.handle_request("POST", path, query, body)
-            self._respond(status, text)
+                while self._answer(sock, rfile):
+                    pass
+            except (EOFError, OSError):
+                pass  # closed, reset or idle: there is no one to answer
 
-    return Handler
+    def _answer(self, sock: socket.socket, rfile) -> bool:
+        """Read and answer one request; False when the connection closes."""
+        try:
+            method, target, keep_open, body = _read_request(sock, rfile)
+        except ValueError as exc:
+            _send(sock, 400, json.dumps({"error": str(exc)}, separators=(",", ":")), False)
+            return False
+        path, _, query = target.partition("?")
+        status, text = self.server.node.handle_request(method, path, query, body)
+        keep_open = keep_open and status == 200  # any other may leave a body unread
+        _send(sock, status, text, keep_open)
+        return keep_open
+
+
+class _Server(socketserver.ThreadingTCPServer):
+    """Accepts connections for a node, each served by a _Handler on its own
+    daemon thread."""
+
+    allow_reuse_address = True
+    daemon_threads = True
+
+    def __init__(self, node: Node):
+        self.node = node
+        super().__init__((node.host, node.port), _Handler)
 
 
 def _serve_until_interrupted(node: Node):
@@ -583,3 +654,7 @@ def main(argv=None, *, wait=_serve_until_interrupted) -> int:
     finally:
         node.stop()
     return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

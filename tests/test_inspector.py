@@ -160,6 +160,19 @@ def test_bad_target_address_exit_4(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("timeout", ["-1", "nan", "inf", "0"])
+def test_a_timeout_that_is_not_a_positive_finite_number_is_a_usage_error(capsys, timeout):
+    """Refused while parsing the arguments, as CallOptions refuses it: no
+    traceback and no attempt at the network."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([f"--timeout={timeout}", "127.0.0.1:1", "list"])
+    assert exit_info.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: refbus-inspect ")
+    [error] = [line for line in err.splitlines() if "error:" in line]
+    assert error.startswith("refbus-inspect: error: argument --timeout: timeout must be positive")
+
+
 def test_call_with_reference_argument_sets_state(make_node, capsys):
     """Two-deployment harness: pass one component to another by reference
     literal, then check the server-side state actually changed."""
