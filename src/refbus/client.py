@@ -39,7 +39,7 @@ from .values import (
     VRef,
     type_check,  # unused here; bench/tracer.py patches refbus.client.type_check
 )
-from .wire import CallEnvelope, ReplyEnvelope, decode_reply, encode_call
+from .wire import CallEnvelope, decode_reply, encode_call
 from .wire import loads, read_reply, receive, reply_shape, send_call
 
 DEFAULT_TIMEOUT = 30.0
@@ -86,20 +86,13 @@ def _http_request(host, port, method, path, body: bytes | None, timeout: float):
         raise NetworkError(f"{method} {host}:{port}{path} failed: {exc!r}") from exc
 
 
-def post_call(
-    host, port, path, call: CallEnvelope | str, timeout: float = DEFAULT_TIMEOUT
-) -> ReplyEnvelope | bytes:
-    """Send one call envelope and return the decoded reply envelope.
-
-    Given the call as JSON text, as ``wire.send_call`` encodes it,
-    return the reply body's bytes for the caller to decode.
-    """
-    encoded = isinstance(call, str)
-    body = (call if encoded else encode_call(call)).encode("utf-8")
-    status, data = _http_request(host, port, "POST", path, body, timeout)
+def post_call(host, port, path, call: str, timeout: float = DEFAULT_TIMEOUT) -> bytes:
+    """Send one call envelope, as JSON text, and return the reply body's
+    bytes for the caller to decode."""
+    status, data = _http_request(host, port, "POST", path, call.encode("utf-8"), timeout)
     if status != 200:
         raise NetworkError(f"POST {host}:{port}{path} returned HTTP {status}")
-    return data if encoded else decode_reply(data)
+    return data
 
 
 def http_get(host, port, path, timeout: float = DEFAULT_TIMEOUT) -> str:
@@ -145,6 +138,7 @@ class Proxy:
                 method_name=method,
                 position=ParamPos(i),
                 override=opts.override,
+                timeout=opts.timeout,
             )
 
         data = post_call(
@@ -244,7 +238,8 @@ def get_component_by_name(node, name, host, port, timeout: float = DEFAULT_TIMEO
     if not isinstance(doc, dict) or "interface" not in doc:
         raise BadEnvelopeError("descriptor document missing interface name")
 
-    reply = post_call(host, port, f"/{name}", CallEnvelope(RESOLVE_METHOD), timeout)
+    call = encode_call(CallEnvelope(RESOLVE_METHOD))
+    reply = decode_reply(post_call(host, port, f"/{name}", call, timeout))
     if reply.fault is not None:
         raise fault_error(reply.fault.code, reply.fault.message)
     if not isinstance(reply.result, VRef):

@@ -28,7 +28,7 @@ from .values import (
     VRef,
     VStr,
 )
-from .wire import CallEnvelope, encode_value, loads, reply_shape
+from .wire import CallEnvelope, decode_reply, encode_call, encode_value, loads, reply_shape
 
 EXIT_OK = 0
 EXIT_NETWORK = 2
@@ -159,7 +159,8 @@ def cmd_describe(host: str, port: int, target: str, timeout: float, as_json: boo
 
 def cmd_call(host: str, port: int, target: str, method: str, literals, timeout: float) -> int:
     args = [parse_literal(token) for token in literals]
-    reply = post_call(host, port, f"/{target}", CallEnvelope(method, args), timeout)
+    call = encode_call(CallEnvelope(method, args))
+    reply = decode_reply(post_call(host, port, f"/{target}", call, timeout))
     if reply.fault is not None:
         print(f"fault {reply.fault.code.value}: {reply.fault.message}", file=sys.stderr)
         return EXIT_FAULT

@@ -75,7 +75,7 @@ from .values import (
     type_check,
     typeref_name,
 )
-from .wire import CallEnvelope, ReplyEnvelope, encode_reply
+from .wire import CallEnvelope, ReplyEnvelope, decode_reply, encode_call, encode_reply
 from .wire import call_shape, loads, parse_args, read_call, receive, send_result
 from .wire import decode_call  # unused here; bench/tracer.py patches refbus.node.decode_call
 
@@ -289,15 +289,17 @@ class Node:
         method_name: str,
         position: Position,
         override: CallOverride | None = None,
+        timeout: float = _client.DEFAULT_TIMEOUT,
     ) -> Value:
         """Turn a local value into its wire form for one signature position.
 
         Components and proxies at interface-typed positions follow the
         resolved transmission policy: BY_REFERENCE sends a reference
         (just-in-time deploying local components), BY_VALUE sends a state
-        record (snapshotting proxies remotely). Everything else always
-        passes by value; ``values.to_value`` converts scalars and lists,
-        and each list element takes the same position.
+        record (snapshotting proxies remotely within ``timeout`` seconds).
+        Everything else always passes by value; ``values.to_value``
+        converts scalars and lists, and each list element takes the same
+        position.
         """
 
         def leaf(x, t: TypeRef) -> Value:
@@ -320,7 +322,7 @@ class Node:
                 policy = self.policies.resolve(position, iface_name, method_name, None, override)
                 if policy is BY_REFERENCE:
                     return VRef(x.ior)
-                return self._remote_snapshot(x)
+                return self._remote_snapshot(x, timeout)
             descriptor = self.class_descriptor_for(x)
             if descriptor is not None:
                 if not isinstance(t, InterfaceType):
@@ -341,10 +343,11 @@ class Node:
 
         return to_value(value, declared, leaf)
 
-    def _remote_snapshot(self, proxy: _client.Proxy) -> VRecord:
+    def _remote_snapshot(self, proxy: _client.Proxy, timeout: float) -> VRecord:
         ior = proxy.ior
-        reply = _client.post_call(
-            ior.host, ior.port, f"/obj/{ior.object_number}", CallEnvelope(SNAPSHOT_METHOD)
+        call = encode_call(CallEnvelope(SNAPSHOT_METHOD))
+        reply = decode_reply(
+            _client.post_call(ior.host, ior.port, f"/obj/{ior.object_number}", call, timeout)
         )
         if reply.fault is not None:
             raise NetworkError(
@@ -545,7 +548,7 @@ def _reply_head(status: int, keep_open: bool) -> bytes:
     )
 
 
-def _send(sock: socket.socket, status: int, text: str, keep_open: bool):
+def _write_reply(sock: socket.socket, status: int, text: str, keep_open: bool):
     data = text.encode("utf-8")
     # One write: a body sent apart from its head would wait for the peer's
     # delayed ACK under Nagle's algorithm, about 40 ms per keep-alive reply.
@@ -600,12 +603,12 @@ class _Handler(socketserver.BaseRequestHandler):
         try:
             method, target, keep_open, body = _read_request(sock, rfile)
         except ValueError as exc:
-            _send(sock, 400, json.dumps({"error": str(exc)}, separators=(",", ":")), False)
+            _write_reply(sock, 400, json.dumps({"error": str(exc)}, separators=(",", ":")), False)
             return False
         path, _, query = target.partition("?")
         status, text = self.server.node.handle_request(method, path, query, body)
         keep_open = keep_open and status == 200  # any other may leave a body unread
-        _send(sock, status, text, keep_open)
+        _write_reply(sock, status, text, keep_open)
         return keep_open
 
 
@@ -657,4 +660,7 @@ def main(argv=None, *, wait=_serve_until_interrupted) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # runpy runs this file as a second copy of refbus.node; serve the package's Node.
+    from refbus.node import main as package_main
+
+    sys.exit(package_main())

@@ -9,14 +9,13 @@ signal BAD_ENVELOPE.
 
 Values take one of two paths, with byte-identical text. The V* path
 (``_value_obj``, ``_parse_value``) converts between JSON and
-``values.Value``. At a plain type, a primitive or a list of plain types,
-the typed path does in one walk of the declared type what the V* path,
-``type_check``, ``client.materialize`` and ``Node.marshal_outbound`` do in
-several: ``decode`` inbound from parsed JSON, ``_encode`` outbound straight
-to JSON text, which ``send_call`` and ``send_result`` join around the
-envelope. It is only a fast way to succeed: ``receive`` and ``_send`` take
-the V* path for each position it declines, and that path produces the
-fault.
+``values.Value``. The typed path walks the declared type once: ``decode``
+inbound from parsed JSON, ``_encode`` outbound straight to JSON text, which
+``send_call`` and ``send_result`` join around the envelope. It writes and
+reads scalars and lists itself and hands every other position to the V*
+path: ``_encode`` to ``marshal``, ``decode`` by declining, after which
+``receive`` parses, checks and materializes that position, faults
+included.
 
 ``read_call`` and ``read_reply`` go one step further for the one argument
 of a call, or the result of a reply, declared ``readable`` (a list of i64,
@@ -29,7 +28,6 @@ above then answer the body, faults included.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from json.decoder import scanstring
@@ -342,26 +340,21 @@ def _payload(obj, tag: str):
     raise _Unfit
 
 
-@functools.cache
-def plain(t: TypeRef, depth: int = 0) -> bool:
-    """Whether ``t`` holds no record or interface, and no value of it nests
-    deeper than the wire allows, which only the V* path checks."""
-    if isinstance(t, ListOf):
-        return depth < MAX_NESTING and plain(t.elem, depth + 1)
-    return isinstance(t, Prim)
-
-
-def decode(obj, t: TypeRef):
-    """The Python value of parsed JSON at plain type ``t``; raises _Unfit
-    where it declines."""
+def decode(obj, t: TypeRef, depth: int = 0):
+    """The Python value of parsed JSON at ``t``, inside ``depth`` lists.
+    Raises _Unfit where it declines, for the V* path to answer: at a value
+    that does not fit, at a record or an interface, and at a list nested
+    deeper than the wire allows."""
     if type(t) is ListOf:
+        if depth == MAX_NESTING:
+            raise _Unfit
         items = _payload(obj, "list")
         if type(items) is not list:
             raise _Unfit
         row = _SCALAR.get(t.elem)
         if row is None:  # not a list of scalars: item by item
             elem = t.elem
-            return [decode(item, elem) for item in items]
+            return [decode(item, elem, depth + 1) for item in items]
         tag = row[0]
         payloads = [
             item.get("v", _MISSING)
@@ -371,17 +364,18 @@ def decode(obj, t: TypeRef):
         if len(payloads) != len(items):
             raise _Unfit
         return _accept(payloads, row)
-    if t is Prim.NULL:
-        if type(obj) is dict and len(obj) == 1 and obj.get("t") == "null":
-            return None
-        raise _Unfit
-    row = _SCALAR[t]
-    return _accept([_payload(obj, row[0])], row)[0]
+    row = _SCALAR.get(t)
+    if row is not None:
+        return _accept([_payload(obj, row[0])], row)[0]
+    if t is Prim.NULL and obj == {"t": "null"}:
+        return None
+    raise _Unfit  # a misfit null, a record or an interface
 
 
 def _encode(x, t: TypeRef, marshal: Marshal) -> str:
-    """JSON text of ``x`` at plain type ``t``; ``marshal`` answers each
-    position ``x`` does not fit."""
+    """JSON text of ``x`` at ``t``. Scalars and the frames of lists and
+    tuples are written here; ``marshal`` answers every other position,
+    each list element at the element type."""
     if type(t) is ListOf:
         if type(x) is list or type(x) is tuple:
             row = _SCALAR.get(t.elem)
@@ -392,10 +386,9 @@ def _encode(x, t: TypeRef, marshal: Marshal) -> str:
                 elem = t.elem
                 items = ",".join([_encode(item, elem, marshal) for item in x])
             return _LIST_HEAD + items + "]}"
-    elif t is Prim.NULL:
-        if x is None:
-            return '{"t":"null"}'
-    elif _fits([x], row := _SCALAR[t]):
+    elif x is None and t is Prim.NULL:
+        return '{"t":"null"}'
+    elif (row := _SCALAR.get(t)) is not None and _fits([x], row):
         return row[4] + row[3](x) + "}"
     return _dumps(_value_obj(marshal(x, t)))
 
@@ -405,21 +398,19 @@ def receive(
 ) -> tuple[list, list]:
     """(values, misfits) of the parsed JSON values at signature positions.
 
-    Each plain position runs ``decode``. Where that declines, or the type
-    is not plain, ``_parse_value`` parses the position at
-    ``path.format(i)``, so BadEnvelopeError leaves at the first position
-    that does not parse, and ``type_check`` adds ``(i, mismatches)`` to
-    misfits. Only when there are no misfits are the parsed positions
-    materialized into values.
+    Each position runs ``decode``. Where that declines, ``_parse_value``
+    parses the position at ``path.format(i)``, so BadEnvelopeError leaves
+    at the first position that does not parse, and ``type_check`` adds
+    ``(i, mismatches)`` to misfits. Only when there are no misfits are the
+    parsed positions materialized into values.
     """
     values, parsed, misfits = [], [], []
     for i, (obj, t) in enumerate(zip(objs, types)):
-        if plain(t):
-            try:
-                values.append(decode(obj, t))
-                continue
-            except _Unfit:
-                pass
+        try:
+            values.append(decode(obj, t))
+            continue
+        except _Unfit:
+            pass
         v = _parse_value(obj, path.format(i))
         if mismatches := type_check(v, t, env):
             misfits.append((i, mismatches))
@@ -431,21 +422,15 @@ def receive(
     return values, misfits
 
 
-def _send(x, t: TypeRef, marshal: Marshal) -> str:
-    if plain(t):
-        return _encode(x, t, marshal)
-    return _dumps(_value_obj(marshal(x, t)))
-
-
 def send_call(method: str, params, args, marshal_at: Callable[[int], Marshal]) -> str:
     """Call envelope text; ``marshal_at(i)`` marshals argument ``i``."""
-    texts = [_send(a, t, marshal_at(i)) for i, (a, t) in enumerate(zip(args, params))]
+    texts = [_encode(a, t, marshal_at(i)) for i, (a, t) in enumerate(zip(args, params))]
     return '{"method":' + encode_basestring(method) + ',"args":[' + ",".join(texts) + "]}"
 
 
 def send_result(x, t: TypeRef, marshal: Marshal) -> str:
     """Reply envelope text for a result."""
-    return '{"result":' + _send(x, t, marshal) + "}"
+    return '{"result":' + _encode(x, t, marshal) + "}"
 
 
 def _read_list(text: str, start: int, end: int, t: ListOf) -> list | None:
@@ -482,9 +467,9 @@ def _read_list(text: str, start: int, end: int, t: ListOf) -> list | None:
 
 def readable(t: TypeRef) -> bool:
     """Whether ``read_call`` and ``read_reply`` read values of ``t``: a
-    plain list of i64, f64 or bool, whose payloads hold no quote, comma or
+    list of i64, f64 or bool, whose payloads hold no quote, comma or
     bracket. A list of str stays out: a string can span a separator."""
-    return type(t) is ListOf and t.elem in (Prim.I64, Prim.F64, Prim.BOOL) and plain(t)
+    return type(t) is ListOf and t.elem in (Prim.I64, Prim.F64, Prim.BOOL)
 
 
 def read_call(body: bytes, sig_of: Callable[[str], Any]) -> tuple[str, Any, list] | None:

@@ -31,7 +31,7 @@ from refbus import (
 )
 from refbus.policy import RETURN, ParamPos, PolicyStore
 from refbus.values import VInt, VRef, VStr, value_equals
-from refbus.wire import CallEnvelope, decode_value, encode_value
+from refbus.wire import CallEnvelope, decode_reply, decode_value, encode_call, encode_value
 from refbus.client import http_get, materialize, post_call
 from refbus.inspector import (
     EXIT_FAULT,
@@ -57,7 +57,7 @@ def criterion(number: int, title: str):
 
 
 def _call(node, path, method, args=()):
-    return post_call(node.host, node.port, path, CallEnvelope(method, args))
+    return decode_reply(post_call(node.host, node.port, path, encode_call(CallEnvelope(method, args))))
 
 
 def test_criterion_01_figure2_semantics():

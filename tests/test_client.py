@@ -40,8 +40,8 @@ from refbus import (
 )
 from refbus.client import Proxy, http_get, materialize, post_call
 from refbus.values import Ior, VInt, VList, VRecord, VRef, VStr, value_equals
-from refbus.wire import CallEnvelope
-from refbus.scenarios import Person, Student, register_demo_types
+from refbus.wire import CallEnvelope, decode_reply, encode_call
+from refbus.scenarios import PERSON_CLASS, Person, Student, register_demo_types
 
 IHOLDER = InterfaceDescriptor(
     "IHolder",
@@ -187,7 +187,7 @@ def test_non_utf8_reply_body_is_bad_envelope():
     post_call and http_get alike, never a bare UnicodeDecodeError."""
     with _stub_server(b"\xff") as port:
         with pytest.raises(BadEnvelopeError):
-            post_call("127.0.0.1", port, "/x", CallEnvelope("m"), timeout=5)
+            decode_reply(post_call("127.0.0.1", port, "/x", encode_call(CallEnvelope("m")), timeout=5))
         with pytest.raises(BadEnvelopeError):
             http_get("127.0.0.1", port, "/x?wsdl", timeout=5)
 
@@ -546,3 +546,42 @@ def test_by_value_proxy_translation_snapshots_remotely(make_node):
     assert isinstance(received, Person)
     assert (received.name, received.age) == ("john", 35)
     assert received is not john
+
+
+class SlowPerson(Person):
+    """A Person whose name, as a snapshot reads it, waits for ``release``
+    (at most 5 s)."""
+
+    def __init__(self, release: threading.Event):
+        self.release = release
+        super().__init__("john", 35)
+
+    @property
+    def name(self):
+        self.release.wait(5)
+        return self._name
+
+    @name.setter
+    def name(self, value):
+        self._name = value
+
+
+def test_a_by_value_proxy_snapshot_keeps_the_call_timeout(make_node):
+    """The remote snapshot that a proxy passed by value needs is part of the
+    call, so it ends with the call's timeout; before, it waited on
+    client.DEFAULT_TIMEOUT (30 s)."""
+    release = threading.Event()
+    node_a, node_b = _holder_node(make_node), make_node()
+    node_a.deploy("IPerson", ComponentHandle(SlowPerson(release), PERSON_CLASS), "john")
+    node_a.deploy(IHOLDER, Holder(), "holder")
+    node_b.register_interface(IHOLDER)
+    john = node_b.get_component_by_name("john", node_a.host, node_a.port)
+    holder = node_b.get_component_by_name("holder", node_a.host, node_a.port)
+    opts = CallOptions(override=CallOverride(whole_call=BY_VALUE), timeout=0.5)
+    start = time.monotonic()
+    try:
+        with pytest.raises(CallTimeout):
+            holder.invoke("setItem", [john], opts)
+        assert time.monotonic() - start < 2.0
+    finally:
+        release.set()

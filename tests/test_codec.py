@@ -1,11 +1,11 @@
-"""The plain-type codec against the V* path it stands in for.
+"""The typed codec against the V* path it stands in for.
 
 The V* path is the oracle: wire._parse_value, type_check and materialize
 inbound; Node.marshal_outbound and wire._value_obj outbound. For seeded
 random types, well-typed values and mutated ones, both paths must give
 equal results, byte-identical text and the same faults with the same
-messages. Well-typed plain values must take codec.decode, so a
-silent fallback cannot hide a slow codec.
+messages. Well-typed values of a type that holds no record or interface
+must take codec.decode, so a silent fallback cannot hide a slow codec.
 """
 
 from __future__ import annotations
@@ -192,6 +192,24 @@ def _refuse(value, declared):
     raise AssertionError(f"compiled encoder handed {value!r} at {declared} to the V* path")
 
 
+def _scalars_only(t) -> bool:
+    """Whether ``t`` holds no record or interface."""
+    return _scalars_only(t.elem) if isinstance(t, ListOf) else isinstance(t, Prim)
+
+
+def _decline(obj, t, depth=0):
+    raise codec._Unfit
+
+
+def _value_path_only(m):
+    """Patch the typed path out, so that every position takes the V* path:
+    ``decode`` declines, ``_encode`` hands the whole position to marshal,
+    and the text readers decline."""
+    m.setattr(codec, "decode", _decline)
+    m.setattr(codec, "_encode", lambda x, t, marshal: codec._dumps(codec._value_obj(marshal(x, t))))
+    m.setattr(codec, "readable", lambda t: False)
+
+
 @pytest.fixture
 def world(make_node):
     node = make_node(demo=False)
@@ -213,7 +231,7 @@ def test_compiled_codec_matches_the_value_path(world, monkeypatch):
         taker.received.clear()
         with monkeypatch.context() as m:
             if not fast:
-                m.setattr(codec, "plain", lambda t: False)
+                _value_path_only(m)
             _, text = node.handle_request("POST", path, "", body)
         return text, list(taker.received)
 
@@ -221,12 +239,12 @@ def test_compiled_codec_matches_the_value_path(world, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(refbus.client, "post_call", lambda *args: reply)
             if not fast:
-                m.setattr(codec, "plain", lambda t: False)
+                _value_path_only(m)
             return outcome(lambda: proxy.invoke("take", [arg]))
 
     for n in range(160):
         t = rand_type(rng)
-        plain = codec.plain(t)
+        scalars_only = _scalars_only(t)
         iface = InterfaceDescriptor(f"ITake{n}", [MethodSig("take", (t,), t)])
         node.register_interface(iface)
         node.policies.set_method_policy(iface.name, "take", BY_REFERENCE)
@@ -259,7 +277,7 @@ def test_compiled_codec_matches_the_value_path(world, monkeypatch):
             )
             assert fast == oracle, (t, x)
             seen["encode " + fast[0]] += 1
-            if plain and not bad:
+            if scalars_only and not bad:
                 codec.send_result(x, t, _refuse)
 
         # decoders: well-typed JSON from the V* encoder, then mutants of it
@@ -280,9 +298,9 @@ def test_compiled_codec_matches_the_value_path(world, monkeypatch):
                 same(fast[1], oracle[1]) if fast[0] == "ok" else fast == oracle
             ), (t, obj)
             seen[f"{kind} {'ok' if fast_got else 'fault'}"] += 1
-            # at a plain type, codec.decode takes whatever the V* path
-            # takes; it raises where it declines
-            if plain and (oracle_got or oracle[0] == "ok"):
+            # at a type of scalars and lists only, codec.decode takes
+            # whatever the V* path takes; it raises where it declines
+            if scalars_only and (oracle_got or oracle[0] == "ok"):
                 codec.decode(obj, t)
 
     # both outcomes occur often enough for the comparison to mean something
@@ -342,6 +360,72 @@ def test_a_scalar_subclass_falls_back_to_the_value_path():
     texts = _texts("take", x, t, marshal)
     assert marshalled == [Level.LOW, Level.LOW]
     assert texts == _oracle_texts("take", x, t, _v_star)
+
+
+def test_lists_of_references_and_records_write_the_value_path_bytes(world):
+    """send_call and send_result write the frame of a list<IPerson> or
+    list<Pt> themselves and marshal each element, with the bytes of the V*
+    path. Local components deploy by reference in element order, and a
+    misfit at element k raises the V* path's error after exactly k
+    deploys."""
+    node, _, foreign = world
+    by_reference = functools.partial(
+        node.marshal_outbound, iface_name="IPerson", method_name="take", position=RETURN,
+        override=CallOverride(whole_call=BY_REFERENCE),
+    )
+    marshalled_at = set()
+
+    def marshal(x, t):
+        marshalled_at.add(t)
+        return by_reference(x, t)
+
+    people_t, points_t = ListOf(IPERSON_T), ListOf(PT)
+
+    def deploys(send):
+        """(outcome of send(), instances it deployed, in order)."""
+        before = len(node.table.deployments())
+        result = outcome(send)
+        return result, [d.component.instance for d in node.table.deployments()[before:]]
+
+    for frame in (list, tuple):
+        ann, bo, cy = Person("Ann", 30), Person("Bo", 41), Person("Cy", 7)
+        x = frame([ann, None, bo, foreign, cy])
+        marshalled_at.clear()
+        typed, deployed = deploys(lambda: _texts("take", x, people_t, marshal))
+        assert deployed == [ann, bo, cy]
+        assert marshalled_at == {IPERSON_T}  # never the whole list
+        assert typed == ("ok", _oracle_texts("take", x, people_t, marshal))
+    points = [VRecord("Pt", [("x", VInt(1)), ("label", VStr("a"))]), None]
+    marshalled_at.clear()
+    typed = _texts("take", points, points_t, marshal)
+    assert marshalled_at == {PT}
+    assert typed == _oracle_texts("take", points, points_t, marshal)
+
+    def misfit_at(k, misfit):
+        """A list of fresh Persons with ``misfit`` at element k."""
+        return [Person(f"p{i}", i) for i in range(k)] + [misfit, Person("after", 1)]
+
+    encoders = [
+        lambda x, t: codec.send_result(x, t, marshal),
+        lambda x, t: codec.send_call("take", (t,), [x], lambda i: marshal),
+    ]
+    oracles = [
+        lambda x, t: encode_reply(ReplyEnvelope.ok(marshal(x, t))),
+        lambda x, t: encode_call(CallEnvelope("take", [marshal(x, t)])),
+    ]
+    for k, misfit in [(0, "x"), (2, 5), (3, Level.LOW), (1, VStr("v"))]:
+        for encode, oracle in zip(encoders, oracles):
+            x, y = misfit_at(k, misfit), misfit_at(k, misfit)
+            typed, deployed = deploys(lambda: encode(x, people_t))
+            assert typed[:2] == ("raised", TypeMismatchError), (k, misfit)
+            assert deployed == x[:k]
+            assert deploys(lambda: oracle(y, people_t)) == (typed, y[:k])
+    for misfit in [5, VRecord("Other", []), VRecord("Pt", [("x", VInt(1))]), foreign]:
+        x = [points[0], misfit]
+        for encode, oracle in zip(encoders, oracles):
+            typed = outcome(lambda: encode(x, points_t))
+            assert typed[:2] == ("raised", TypeMismatchError), misfit
+            assert typed == outcome(lambda: oracle(x, points_t))
 
 
 class Pair:
@@ -408,13 +492,13 @@ _ENVELOPE_REPLIES = [
 def test_envelope_faults_match_the_value_path(world, monkeypatch):
     """Envelope and argument faults keep their texts, BAD_ENVELOPE in a
     later argument beating TYPE_MISMATCH in an earlier one. The texts are
-    pinned, since the plain and V* paths share the envelope code."""
+    pinned, since the typed and V* paths share the envelope code."""
     node, _, _ = world
     _pair_proxy(node)
     for body, reply in _ENVELOPE_REPLIES:
         assert node.handle_request("POST", "/pair", "", body.encode()) == (200, reply), body
         with monkeypatch.context() as m:
-            m.setattr(codec, "plain", lambda t: False)
+            _value_path_only(m)
             assert node.handle_request("POST", "/pair", "", body.encode()) == (200, reply), body
 
 
@@ -459,7 +543,7 @@ def _pair_proxy(node):
 
 def test_reply_outcomes_keep_their_texts(world, monkeypatch):
     """Results and faults keep their outcomes and texts, pinned, since the
-    plain and V* paths share the reply code."""
+    typed and V* paths share the reply code."""
     node, _, _ = world
     proxy = _pair_proxy(node)
     for reply, expected in _REPLY_OUTCOMES:
@@ -507,8 +591,8 @@ def test_deep_nesting_at_a_position_is_bad_envelope(world, monkeypatch, declared
 
 @pytest.mark.parametrize("depth", [100, 101])
 def test_nesting_limit_holds_at_a_deeply_declared_type(world, depth):
-    """A list type nested deeper than a value may nest is not plain, so its
-    values meet the same limit as any other."""
+    """``decode`` declines a list nested deeper than a value may nest, so
+    values of a deeply declared type meet the same limit as any other."""
     node, _, _ = world
     declared = Prim.I64
     for _ in range(depth):
@@ -518,10 +602,15 @@ def test_nesting_limit_holds_at_a_deeply_declared_type(world, depth):
     body = '{"method":"take","args":[' + value + "]}"
     status, text = node.handle_request("POST", f"/deep{depth}", "", body.encode())
     if depth == 100:
-        assert codec.plain(declared) and text == '{"result":' + value + "}"
+        expected = []
+        for _ in range(depth - 1):
+            expected = [expected]
+        assert codec.decode(json.loads(value), declared) == expected
+        assert text == '{"result":' + value + "}"
         assert len(taker.received) == 1
     else:
-        assert not codec.plain(declared)
+        with pytest.raises(codec._Unfit):
+            codec.decode(json.loads(value), declared)
         assert (status, text) == (200, _fault("BAD_ENVELOPE", "value nesting too deep"))
         assert taker.received == []
 

@@ -38,7 +38,7 @@ from refbus.scenarios import INAMED_ENTITY, Person, Student, register_demo_types
 
 
 def _call(node, path, method, args=()):
-    return post_call(node.host, node.port, path, CallEnvelope(method, args))
+    return decode_reply(post_call(node.host, node.port, path, encode_call(CallEnvelope(method, args))))
 
 
 @pytest.fixture
@@ -958,15 +958,12 @@ def test_one_instance_two_interfaces(make_node):
 
 
 def test_node_cli_serves_and_stops(capsys):
-    from refbus.client import post_call as cli_post
     from refbus.node import main as node_main
-    from refbus.wire import CallEnvelope as Env
 
     seen = {}
 
     def probe(node):
-        reply = cli_post(node.host, node.port, "/bob", Env("getName"))
-        seen["name"] = reply.result
+        seen["name"] = _call(node, "/bob", "getName").result
 
     assert node_main(["--port", "0", "--demo", "figure1"], wait=probe) == 0
     out = capsys.readouterr().out
@@ -976,6 +973,9 @@ def test_node_cli_serves_and_stops(capsys):
 
 
 def test_python_m_refbus_node_serves():
+    """Both ``python -m refbus.node`` and ``python -m refbus`` serve. The
+    second runs the node module only once, so runpy's RuntimeWarning about
+    a module already in sys.modules never comes (it is made an error)."""
     import os
     import subprocess
     import sys
@@ -983,18 +983,20 @@ def test_python_m_refbus_node_serves():
 
     src = str(Path(refbus.node.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    argv = [sys.executable, "-u", "-m", "refbus.node", "--demo", "figure1", "--port", "0"]
-    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-                          text=True) as proc:
-        try:
-            assert proc.stdout.readline().startswith("deployed http://127.0.0.1:")
-            listening = proc.stdout.readline()
-            port = int(re.fullmatch(r"listening on http://127\.0\.0\.1:(\d+)/\n", listening)[1])
-            reply = post_call("127.0.0.1", port, "/bob", CallEnvelope("getName"), timeout=5)
-            assert reply.result == VStr("Bobby Jones")
-        finally:
-            proc.terminate()
-            proc.wait(timeout=10)
+    call = encode_call(CallEnvelope("getName"))
+    for module in (["-m", "refbus.node"], ["-W", "error::RuntimeWarning", "-m", "refbus"]):
+        argv = [sys.executable, "-u", *module, "--demo", "figure1", "--port", "0"]
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                              text=True) as proc:
+            try:
+                assert proc.stdout.readline().startswith("deployed http://127.0.0.1:"), module
+                listening = proc.stdout.readline()
+                port = int(re.fullmatch(r"listening on http://127\.0\.0\.1:(\d+)/\n", listening)[1])
+                reply = decode_reply(post_call("127.0.0.1", port, "/bob", call, timeout=5))
+                assert reply.result == VStr("Bobby Jones")
+            finally:
+                proc.terminate()
+                proc.wait(timeout=10)
 
 
 def test_malformed_bodies_yield_fault_envelopes(bob_node):
