@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import http.client
 import socket
+import time
 from dataclasses import dataclass
 from threading import TIMEOUT_MAX
 
@@ -54,9 +55,19 @@ def _check_timeout(timeout) -> None:
         raise ValueError(f"timeout must be positive and at most {TIMEOUT_MAX} s, got {timeout!r}")
 
 
+def remaining(deadline: float) -> float:
+    """Seconds left before a ``time.monotonic()`` deadline, for the next
+    request of a call; CallTimeout when none are left."""
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise CallTimeout("call timed out before its next request")
+    return left
+
+
 @dataclass(frozen=True)
 class CallOptions:
-    """Options for one invocation: per-call policy override and timeout."""
+    """Options for one invocation: per-call policy override, and a timeout
+    that bounds the whole call, remote snapshots of its arguments included."""
 
     override: CallOverride | None = None
     timeout: float = DEFAULT_TIMEOUT
@@ -130,6 +141,7 @@ class Proxy:
                 f"{self.iface.name}.{method} takes {len(sig.params)} args, got {len(args)}"
             )
         node = self._node
+        deadline = time.monotonic() + opts.timeout
 
         def marshal_at(i):
             return functools.partial(
@@ -138,16 +150,12 @@ class Proxy:
                 method_name=method,
                 position=ParamPos(i),
                 override=opts.override,
-                timeout=opts.timeout,
+                deadline=deadline,
             )
 
-        data = post_call(
-            self.ior.host,
-            self.ior.port,
-            f"/obj/{self.ior.object_number}",
-            send_call(method, sig.params, args, marshal_at),
-            opts.timeout,
-        )
+        call = send_call(method, sig.params, args, marshal_at)
+        path = f"/obj/{self.ior.object_number}"
+        data = post_call(self.ior.host, self.ior.port, path, call, remaining(deadline))
         read = read_reply(data, sig.returns)
         if read is not None:
             return read
@@ -227,10 +235,12 @@ def get_component_by_name(node, name, host, port, timeout: float = DEFAULT_TIMEO
     """Obtain an interned proxy to a component deployed under a name remotely.
 
     Fetches the deployment's descriptor document, then asks the named
-    endpoint to resolve itself into a remote reference.
+    endpoint to resolve itself into a remote reference; ``timeout`` bounds
+    both requests together.
     """
     validate_name(name)
     _check_timeout(timeout)
+    deadline = time.monotonic() + timeout
     doc = loads(http_get(host, port, f"/{name}?wsdl", timeout))
     if isinstance(doc, dict) and "fault" in doc:
         _, fault = reply_shape(doc)
@@ -239,7 +249,7 @@ def get_component_by_name(node, name, host, port, timeout: float = DEFAULT_TIMEO
         raise BadEnvelopeError("descriptor document missing interface name")
 
     call = encode_call(CallEnvelope(RESOLVE_METHOD))
-    reply = decode_reply(post_call(host, port, f"/{name}", call, timeout))
+    reply = decode_reply(post_call(host, port, f"/{name}", call, remaining(deadline)))
     if reply.fault is not None:
         raise fault_error(reply.fault.code, reply.fault.message)
     if not isinstance(reply.result, VRef):

@@ -289,14 +289,15 @@ class Node:
         method_name: str,
         position: Position,
         override: CallOverride | None = None,
-        timeout: float = _client.DEFAULT_TIMEOUT,
+        deadline: float | None = None,
     ) -> Value:
         """Turn a local value into its wire form for one signature position.
 
         Components and proxies at interface-typed positions follow the
         resolved transmission policy: BY_REFERENCE sends a reference
         (just-in-time deploying local components), BY_VALUE sends a state
-        record (snapshotting proxies remotely within ``timeout`` seconds).
+        record (snapshotting proxies remotely before the ``time.monotonic()``
+        ``deadline``, or within ``DEFAULT_TIMEOUT`` without one).
         Everything else always passes by value; ``values.to_value``
         converts scalars and lists, and each list element takes the same
         position.
@@ -322,7 +323,7 @@ class Node:
                 policy = self.policies.resolve(position, iface_name, method_name, None, override)
                 if policy is BY_REFERENCE:
                     return VRef(x.ior)
-                return self._remote_snapshot(x, timeout)
+                return self._remote_snapshot(x, deadline)
             descriptor = self.class_descriptor_for(x)
             if descriptor is not None:
                 if not isinstance(t, InterfaceType):
@@ -343,9 +344,10 @@ class Node:
 
         return to_value(value, declared, leaf)
 
-    def _remote_snapshot(self, proxy: _client.Proxy, timeout: float) -> VRecord:
+    def _remote_snapshot(self, proxy: _client.Proxy, deadline: float | None) -> VRecord:
         ior = proxy.ior
         call = encode_call(CallEnvelope(SNAPSHOT_METHOD))
+        timeout = _client.DEFAULT_TIMEOUT if deadline is None else _client.remaining(deadline)
         reply = decode_reply(
             _client.post_call(ior.host, ior.port, f"/obj/{ior.object_number}", call, timeout)
         )

@@ -96,8 +96,7 @@ class PolicyStore:
         self, iface_name: str, method_name: str, index: int, policy: TransmissionPolicy
     ):
         self._require(iface_name, method_name)
-        if index < 0:
-            raise ValueError("parameter index must be non-negative")
+        ParamPos(index)  # refuses a negative index
         with self._lock:
             self._params[(iface_name, method_name, index)] = policy
 

@@ -4,13 +4,14 @@ A Value is the universal datum that crosses the wire: scalars, lists,
 records, or a remote reference (Ior). TypeRefs describe signature
 positions; InterfaceType is the only component-shaped TypeRef, so a
 reference can only ever be typed as an interface. All types here are
-immutable after construction and safe to share across threads.
+immutable after construction and safe to share across threads. Two values
+are ``==`` exactly when they encode to the same wire text; floats compare
+bit-exactly, so 0.0 and -0.0 differ.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Union
@@ -87,6 +88,12 @@ class VFloat:
             raise ValueError("VFloat out of range: integer too large for f64") from None
         if not math.isfinite(self.value):
             raise ValueError("VFloat must be finite (no NaN or infinity)")
+
+    def __eq__(self, other):
+        # Bit-exact, as the wire writes it: 0.0 and -0.0 are two values.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value.hex() == other.value.hex()
 
 
 def is_text(s: str) -> bool:
@@ -371,30 +378,3 @@ def _check_fields(v: VRecord, declared, env, path: str, out: list[str], *, null_
         if not (null_ok and isinstance(fvalue, VNull)):
             _check(fvalue, dtype, env, f"{path}.{fname}", out)
 
-
-def _float_bits(f: float) -> bytes:
-    return struct.pack("<d", f)
-
-
-def value_equals(a: Value, b: Value) -> bool:
-    """Deep structural equality; floats compare bit-exactly."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, VNull):
-        return True
-    if isinstance(a, VFloat):
-        return _float_bits(a.value) == _float_bits(b.value)
-    if isinstance(a, (VBool, VInt, VStr)):
-        return a.value == b.value
-    if isinstance(a, VList):
-        return len(a.items) == len(b.items) and all(
-            value_equals(x, y) for x, y in zip(a.items, b.items)
-        )
-    if isinstance(a, VRecord):
-        if a.type_name != b.type_name or len(a.fields) != len(b.fields):
-            return False
-        return all(
-            an == bn and value_equals(av, bv)
-            for (an, av), (bn, bv) in zip(a.fields, b.fields)
-        )
-    return a.ior == b.ior

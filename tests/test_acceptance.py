@@ -30,7 +30,7 @@ from refbus import (
     Prim,
 )
 from refbus.policy import RETURN, ParamPos, PolicyStore
-from refbus.values import VInt, VRef, VStr, value_equals
+from refbus.values import VInt, VRef, VStr
 from refbus.wire import CallEnvelope, decode_reply, decode_value, encode_call, encode_value
 from refbus.client import http_get, materialize, post_call
 from refbus.inspector import (
@@ -189,7 +189,7 @@ def test_criterion_05_wire_round_trip():
             v = random_value(rng)
             text = encode_value(v)
             encoded_first.append(text)
-            assert value_equals(decode_value(text), v)
+            assert decode_value(text) == v
             assert encode_value(decode_value(text)) == text
         # independent second run over the same seed: byte-identical encodings
         rng = random.Random(0x57AB1E)

@@ -9,6 +9,7 @@ import functools
 import http.client
 import math
 import pickle
+import re
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -25,6 +26,7 @@ from refbus import (
     CallTimeout,
     ClassDescriptor,
     ComponentHandle,
+    FaultCode,
     InterfaceDescriptor,
     InterfaceType,
     InvalidNameError,
@@ -32,6 +34,7 @@ from refbus import (
     NetworkError,
     Node,
     Prim,
+    RecordType,
     RefbusError,
     TypeMismatchError,
     UnknownInterfaceError,
@@ -39,8 +42,8 @@ from refbus import (
     UnknownServiceError,
 )
 from refbus.client import Proxy, http_get, materialize, post_call
-from refbus.values import Ior, VInt, VList, VRecord, VRef, VStr, value_equals
-from refbus.wire import CallEnvelope, decode_reply, encode_call
+from refbus.values import Ior, VInt, VList, VRecord, VRef, VStr
+from refbus.wire import CallEnvelope, ReplyEnvelope, decode_reply, encode_call, encode_reply
 from refbus.scenarios import PERSON_CLASS, Person, Student, register_demo_types
 
 IHOLDER = InterfaceDescriptor(
@@ -190,6 +193,65 @@ def test_non_utf8_reply_body_is_bad_envelope():
             decode_reply(post_call("127.0.0.1", port, "/x", encode_call(CallEnvelope("m")), timeout=5))
         with pytest.raises(BadEnvelopeError):
             http_get("127.0.0.1", port, "/x?wsdl", timeout=5)
+
+
+def _answering(monkeypatch, node, *, get=None, post=None, delay=0.0):
+    """Make ``node`` answer every GET with ``get`` and every POST with
+    ``post`` after ``delay`` seconds; an answer left None is the node's own."""
+    own = node.handle_request
+
+    def handle_request(http_method, path, query, body):
+        time.sleep(delay)
+        text = get if http_method == "GET" else post
+        return own(http_method, path, query, body) if text is None else (200, text)
+
+    monkeypatch.setattr(node, "handle_request", handle_request)
+
+
+@pytest.mark.parametrize(
+    "get, post, error, message",
+    [
+        ('{"methods":[]}', None, BadEnvelopeError, "descriptor document missing interface name"),
+        (
+            None,
+            encode_reply(ReplyEnvelope.fail(FaultCode.UNKNOWN_SERVICE, "bob left")),
+            UnknownServiceError,
+            "bob left",
+        ),
+        (
+            None,
+            encode_reply(ReplyEnvelope.ok(VInt(1))),
+            BadEnvelopeError,
+            "name resolution must return a remote reference",
+        ),
+        (
+            None,
+            encode_reply(ReplyEnvelope.ok(VRef(Ior("127.0.0.1", 1, 0, "IPerson")))),
+            BadEnvelopeError,
+            "descriptor names interface 'INamedEntity' but the reference carries 'IPerson'",
+        ),
+    ],
+    ids=["no-interface", "resolve-fault", "not-a-reference", "interface-mismatch"],
+)
+def test_get_component_by_name_refuses_a_bad_answer(
+    make_node, monkeypatch, get, post, error, message
+):
+    server, consumer = make_node(), make_node()
+    server.deploy("INamedEntity", Student("Bobby Jones", 1234), "bob")
+    _answering(monkeypatch, server, get=get, post=post)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        consumer.get_component_by_name("bob", server.host, server.port)
+
+
+def test_a_lookup_timeout_bounds_both_of_its_requests(make_node, monkeypatch):
+    """Under a 1.0 s timeout, a 0.7 s descriptor GET leaves 0.3 s for the
+    0.7 s resolve; before, each request got the whole timeout and the
+    lookup returned after about 1.4 s."""
+    server, consumer = make_node(), make_node()
+    server.deploy("INamedEntity", Student("Bobby Jones", 1234), "bob")
+    _answering(monkeypatch, server, delay=0.7)
+    with pytest.raises(CallTimeout):
+        consumer.get_component_by_name("bob", server.host, server.port, timeout=1.0)
 
 
 # Replies http.client cannot read, by the error each raises there
@@ -390,7 +452,7 @@ def test_materialize_record_without_constructor_stays_a_record(make_node):
     node = make_node()
     record = VRecord("Mystery", [("x", VInt(1))])
     out = materialize(node, record)
-    assert value_equals(out, record)
+    assert out == record
 
 
 def test_materialize_nested_list(make_node):
@@ -549,16 +611,15 @@ def test_by_value_proxy_translation_snapshots_remotely(make_node):
 
 
 class SlowPerson(Person):
-    """A Person whose name, as a snapshot reads it, waits for ``release``
-    (at most 5 s)."""
+    """A Person whose name, as a snapshot reads it, first calls ``wait()``."""
 
-    def __init__(self, release: threading.Event):
-        self.release = release
+    def __init__(self, wait):
+        self.wait = wait
         super().__init__("john", 35)
 
     @property
     def name(self):
-        self.release.wait(5)
+        self.wait()
         return self._name
 
     @name.setter
@@ -572,7 +633,8 @@ def test_a_by_value_proxy_snapshot_keeps_the_call_timeout(make_node):
     client.DEFAULT_TIMEOUT (30 s)."""
     release = threading.Event()
     node_a, node_b = _holder_node(make_node), make_node()
-    node_a.deploy("IPerson", ComponentHandle(SlowPerson(release), PERSON_CLASS), "john")
+    slow = SlowPerson(functools.partial(release.wait, 5))
+    node_a.deploy("IPerson", ComponentHandle(slow, PERSON_CLASS), "john")
     node_a.deploy(IHOLDER, Holder(), "holder")
     node_b.register_interface(IHOLDER)
     john = node_b.get_component_by_name("john", node_a.host, node_a.port)
@@ -585,3 +647,89 @@ def test_a_by_value_proxy_snapshot_keeps_the_call_timeout(make_node):
         assert time.monotonic() - start < 2.0
     finally:
         release.set()
+
+
+class SlowHolder(Holder):
+    def setItem(self, item):
+        time.sleep(0.7)
+        super().setItem(item)
+
+
+def test_a_call_timeout_bounds_its_snapshots_and_the_call_together(make_node):
+    """Under a 1.0 s timeout, a 0.7 s snapshot of a by-value proxy argument
+    leaves 0.3 s for the 0.7 s method; before, each request got the whole
+    timeout and the call returned after about 1.4 s."""
+    node_a, node_b = _holder_node(make_node), make_node()
+    slow = SlowPerson(functools.partial(time.sleep, 0.7))
+    node_a.deploy("IPerson", ComponentHandle(slow, PERSON_CLASS), "john")
+    node_a.deploy(IHOLDER, ComponentHandle(SlowHolder(), HOLDER_CLASS), "holder")
+    node_b.register_interface(IHOLDER)
+    john = node_b.get_component_by_name("john", node_a.host, node_a.port)
+    holder = node_b.get_component_by_name("holder", node_a.host, node_a.port)
+    opts = CallOptions(override=CallOverride(whole_call=BY_VALUE), timeout=1.0)
+    with pytest.raises(CallTimeout):
+        holder.invoke("setItem", [john], opts)
+
+
+def test_a_call_whose_timeout_has_run_out_is_not_sent(make_node, monkeypatch):
+    """A timeout too short to leave any time after marshalling raises
+    CallTimeout before any request goes out."""
+    server, consumer = make_node(), make_node()
+    server.deploy("INamedEntity", Student("Bobby Jones", 1234), "bob")
+    bob = consumer.get_component_by_name("bob", server.host, server.port)
+
+    def no_io(*args):
+        raise AssertionError("a call with no time left reached the network")
+
+    monkeypatch.setattr(refbus.client, "_http_request", no_io)
+    with pytest.raises(CallTimeout):
+        bob.invoke("getName", (), CallOptions(timeout=5e-324))
+
+
+@pytest.mark.parametrize(
+    "reply, message",
+    [
+        (
+            encode_reply(ReplyEnvelope.fail(FaultCode.UNKNOWN_SERVICE, "john left")),
+            "failed: UNKNOWN_SERVICE: john left",
+        ),
+        (encode_reply(ReplyEnvelope.ok(VInt(1))), "remote snapshot did not return a record"),
+    ],
+    ids=["fault", "not-a-record"],
+)
+def test_a_remote_snapshot_that_is_no_state_record_is_a_network_error(
+    make_node, monkeypatch, reply, message
+):
+    """The by-value copy of a proxy argument fails the call before it is
+    sent when the snapshot request faults or returns something else."""
+    node_a, node_b, node_c = make_node(), make_node(), _holder_node(make_node)
+    node_a.deploy("IPerson", Person("john", 35), "john")
+    holder_c = Holder()
+    node_c.deploy(IHOLDER, holder_c, "holder")
+    node_b.register_interface(IHOLDER)
+    john = node_b.get_component_by_name("john", node_a.host, node_a.port)
+    holder = node_b.get_component_by_name("holder", node_c.host, node_c.port)
+    _answering(monkeypatch, node_a, post=reply)
+    with pytest.raises(NetworkError, match=re.escape(message)):
+        holder.setItem(john)
+    assert holder_c.received == []
+
+
+def test_a_result_record_type_the_client_lacks_is_a_type_mismatch(make_node):
+    get_pt = MethodSig("get", (), RecordType("Pt"))
+    ipt = InterfaceDescriptor("IPt", [get_pt])
+
+    class Source:
+        def get(self):
+            return VRecord("Pt", [("x", VInt(1))])
+
+    server = make_node(demo=False)
+    server.register_record("Pt", [("x", Prim.I64)])
+    server.register_interface(ipt)
+    source_class = ClassDescriptor("Source", methods=[get_pt])
+    server.deploy(ipt, ComponentHandle(Source(), source_class), "pt")
+    consumer = make_node(demo=False)
+    consumer.register_interface(ipt)  # and not the record type Pt
+    source = consumer.get_component_by_name("pt", server.host, server.port)
+    with pytest.raises(TypeMismatchError, match=r"^result: \$: record type 'Pt' is not defined$"):
+        source.get()

@@ -16,7 +16,7 @@ from refbus import (
     UnknownMethodError,
 )
 from refbus.component import snapshot_instance
-from refbus.values import NULL, VInt, VList, VRecord, VStr, value_equals
+from refbus.values import NULL, VInt, VList, VRecord, VStr
 from refbus.scenarios import PERSON_CLASS, STUDENT_CLASS, Person, Student
 
 
@@ -52,7 +52,7 @@ def test_snapshot_student():
     expected = VRecord(
         "Student", [("name", VStr("Bobby Jones")), ("matricNumber", VInt(1234))]
     )
-    assert value_equals(snap, expected)
+    assert snap == expected
 
 
 def test_snapshot_person_omits_spouse():
@@ -76,7 +76,7 @@ def test_snapshot_list_field():
 
     descriptor = ClassDescriptor("Roster", state_fields=[("tags", ListOf(Prim.STR))])
     snap = snapshot_instance(Roster(["a", "b"]), descriptor)
-    assert value_equals(snap.get("tags"), VList([VStr("a"), VStr("b")]))
+    assert snap.get("tags") == VList([VStr("a"), VStr("b")])
 
 
 def test_snapshot_rejects_live_reference_fields():

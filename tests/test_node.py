@@ -31,7 +31,7 @@ from refbus import (
 )
 from refbus.interfaces import describe
 from refbus.policy import RETURN, ParamPos
-from refbus.values import Ior, VInt, VRecord, VRef, VStr, value_equals
+from refbus.values import Ior, VInt, VRecord, VRef, VStr
 from refbus.wire import CallEnvelope, decode_reply, encode_call
 from refbus.client import http_get, post_call
 from refbus.scenarios import INAMED_ENTITY, Person, Student, register_demo_types
@@ -691,7 +691,7 @@ def test_snapshot_returns_state_record(bob_node):
     expected = VRecord(
         "Student", [("name", VStr("Bobby Jones")), ("matricNumber", VInt(1234))]
     )
-    assert value_equals(reply.result, expected)
+    assert reply.result == expected
 
 
 def test_reserved_methods_never_appear_in_descriptor(bob_node):
@@ -740,7 +740,7 @@ def test_component_by_value_snapshots(make_node):
     node = make_node()
     wire = _marshal(node, Person("John Brown", 35), InterfaceType("IPerson"))
     expected = VRecord("Person", [("name", VStr("John Brown")), ("age", VInt(35))])
-    assert value_equals(wire, expected)
+    assert wire == expected
 
 
 def test_jit_deployment_is_idempotent(make_node):

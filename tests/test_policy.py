@@ -6,6 +6,8 @@ from __future__ import annotations
 import itertools
 import threading
 
+import pytest
+
 from refbus import BY_REFERENCE, BY_VALUE, CallOverride
 from refbus.policy import RETURN, ParamPos, PolicyStore
 
@@ -40,6 +42,14 @@ def test_param_policy_beats_method_policy():
     store.set_param_policy("IPerson", "setSpouse", 0, BY_REFERENCE)
     assert store.resolve(ParamPos(0), "IPerson", "setSpouse", "Person") is BY_REFERENCE
     assert store.resolve(ParamPos(1), "IPerson", "setSpouse", "Person") is BY_VALUE
+
+
+def test_a_parameter_index_is_non_negative():
+    store = PolicyStore()
+    for refuse in (lambda: ParamPos(-1), lambda: store.set_param_policy("I", "m", -1, BY_VALUE)):
+        with pytest.raises(ValueError, match="^parameter index must be non-negative$"):
+            refuse()
+    assert store.dump()["params"] == {}
 
 
 def test_return_policy_is_its_own_key():

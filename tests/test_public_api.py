@@ -29,7 +29,6 @@ SUBMODULE_ONLY = {
     "refbus.values": [
         "NULL", "Ior", "TypeEnvironment", "TypeRef", "Value", "VBool", "VFloat",
         "VInt", "VList", "VNull", "VRecord", "VRef", "VStr", "type_check",
-        "value_equals",
     ],
     "refbus.wire": [
         "CallEnvelope", "Fault", "ReplyEnvelope", "encode_call", "encode_reply",

@@ -20,8 +20,8 @@ from refbus.values import (
     VRef,
     VStr,
     type_check,
-    value_equals,
 )
+from refbus.wire import encode_value
 from conftest import TypedGenerator, clone_value, deep_eq, random_value
 
 
@@ -167,17 +167,17 @@ def test_type_check_primitive_mismatch_reports_expected_and_actual():
 
 
 # ---------------------------------------------------------------------------
-# value_equals
+# equality: == compares values as the wire writes them
 
 
 def test_value_equals_null():
-    assert value_equals(NULL, NULL)
+    assert NULL == NULL
 
 
 def test_value_equals_ref_object_number_differs():
     a = VRef(Ior("h", 80, 5, "I"))
     b = VRef(Ior("h", 80, 6, "I"))
-    assert not value_equals(a, b)
+    assert a != b
 
 
 def test_value_equals_mixed_list():
@@ -186,20 +186,20 @@ def test_value_equals_mixed_list():
     a = VList([VInt(1), VStr("a")])
     b = VList([VInt(1), VStr("a")])
     assert deep_eq(a, b)
-    assert value_equals(a, b)
+    assert a == b
     c = VList([VInt(1), VStr("b")])
     assert not deep_eq(a, c)
-    assert not value_equals(a, c)
+    assert a != c
 
 
 def test_value_equals_floats_bit_exact():
-    assert value_equals(VFloat(1.5), VFloat(1.5))
-    assert not value_equals(VFloat(0.0), VFloat(-0.0))
+    assert VFloat(1.5) == VFloat(1.5)
+    assert VFloat(0.0) != VFloat(-0.0)
 
 
 def test_value_equals_distinguishes_tags():
-    assert not value_equals(VInt(1), VFloat(1.0))
-    assert not value_equals(VBool(True), VInt(1))
+    assert VInt(1) != VFloat(1.0)
+    assert VBool(True) != VInt(1)
 
 
 def test_value_equals_agrees_with_independent_oracle():
@@ -208,7 +208,7 @@ def test_value_equals_agrees_with_independent_oracle():
     for a in values:
         idx = rng.randrange(len(values))
         b = values[idx]
-        assert value_equals(a, b) == deep_eq(a, b)
+        assert (a == b) == deep_eq(a, b)
 
 
 def test_value_equals_is_an_equivalence():
@@ -218,11 +218,58 @@ def test_value_equals_is_an_equivalence():
         c1 = clone_value(v)
         c2 = clone_value(c1)
         # reflexive
-        assert value_equals(v, v)
+        assert v == v
         # symmetric
-        assert value_equals(v, c1) and value_equals(c1, v)
+        assert v == c1 and c1 == v
         # transitive
-        assert value_equals(v, c1) and value_equals(c1, c2) and value_equals(v, c2)
+        assert v == c1 and c1 == c2 and v == c2
+
+
+_SMALL_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1.0)
+_SMALL_IORS = (Ior("h", 80, 1, "I"), Ior("h", 80, 2, "I"), Ior("h", 81, 1, "I"))
+
+
+def _small_value(rng: random.Random, depth: int = 3):
+    """A value from a domain small enough that random pairs often coincide:
+    ±0.0, the smallest subnormal, 0 as i64 and f64, nested lists and
+    records, references that differ in one field."""
+    kinds = ["null", "bool", "int", "float", "str", "ref"]
+    if depth > 0:
+        kinds += ["list", "list", "rec", "rec"]
+    kind = rng.choice(kinds)
+    if kind == "null":
+        return NULL
+    if kind == "bool":
+        return VBool(rng.random() < 0.5)
+    if kind == "int":
+        return VInt(rng.randint(0, 1))
+    if kind == "float":
+        return VFloat(rng.choice(_SMALL_FLOATS))
+    if kind == "str":
+        return VStr(rng.choice(("", "a")))
+    if kind == "ref":
+        return VRef(rng.choice(_SMALL_IORS))
+    if kind == "list":
+        return VList(_small_value(rng, depth - 1) for _ in range(rng.randint(0, 2)))
+    names = rng.choice(((), ("a",), ("b",), ("a", "b")))
+    return VRecord(rng.choice("RS"), [(n, _small_value(rng, depth - 1)) for n in names])
+
+
+def test_equality_is_equal_wire_text():
+    rng = random.Random(0x3D)
+    pairs = [(_small_value(rng), _small_value(rng)) for _ in range(20000)]
+    pairs += [(v, clone_value(v)) for v in (random_value(rng) for _ in range(300))]
+    equal = 0
+    for a, b in pairs:
+        assert (a == b) == (encode_value(a) == encode_value(b)), (a, b)
+        assert (a != b) == (encode_value(a) != encode_value(b)), (a, b)
+        if a == b:
+            assert hash(a) == hash(b), (a, b)
+            equal += 1
+    # both answers are exercised, not only the clones
+    assert 300 < equal < len(pairs) - 300
+    assert VFloat(0.0) != VFloat(-0.0)
+    assert VInt(1) != VFloat(1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from refbus import BadEnvelopeError, FaultCode
+from refbus import BadEnvelopeError, FaultCode, ListOf, Prim
 from refbus.values import (
     NULL,
     Ior,
@@ -17,7 +17,6 @@ from refbus.values import (
     VRecord,
     VRef,
     VStr,
-    value_equals,
 )
 from refbus.wire import (
     MAX_NESTING,
@@ -29,6 +28,7 @@ from refbus.wire import (
     encode_call,
     encode_reply,
     encode_value,
+    read_reply,
 )
 from conftest import random_value
 
@@ -130,6 +130,7 @@ def test_decode_call_missing_method():
         '{"t":"list","v":{}}',
         '{"t":"rec","type":"","v":{}}',
         '{"t":"rec","type":"R","v":[]}',
+        '{"t":"rec","type":"R","v":{"":{"t":"null"}}}',
         '{"t":"ref","v":{"host":"h","port":80,"obj":1}}',
         '{"t":"ref","v":{"host":"h","port":80,"obj":-1,"iface":"I"}}',
         '{"t":"ref","v":{"host":"","port":80,"obj":1,"iface":"I"}}',
@@ -147,6 +148,15 @@ def test_decode_call_missing_method():
 def test_decode_value_rejects_malformed(text):
     with pytest.raises(BadEnvelopeError):
         decode_value(text)
+
+
+def test_read_reply_declines_a_list_reply_that_is_not_utf8():
+    """The list reader leaves a body with the list reply's prefix and suffix
+    but invalid UTF-8 inside to the parser, which refuses it."""
+    data = b'{"result":{"t":"list","v":[{"t":"i64","v":1\xff}]}}'
+    assert read_reply(data, ListOf(Prim.I64)) is None
+    with pytest.raises(BadEnvelopeError):
+        decode_reply(data)
 
 
 @pytest.mark.parametrize(
@@ -253,7 +263,7 @@ def test_value_round_trip_random():
     for _ in range(1000):
         v = random_value(rng)
         encoded = encode_value(v)
-        assert value_equals(decode_value(encoded), v)
+        assert decode_value(encoded) == v
         # deterministic: re-encoding is byte-identical
         assert encode_value(decode_value(encoded)) == encoded
 
@@ -261,7 +271,7 @@ def test_value_round_trip_random():
 def test_float_round_trip_is_bit_exact():
     for f in (0.0, -0.0, 1e-308, 5e-324, 1.7976931348623157e308, 0.1, 2.5):
         v = VFloat(f)
-        assert value_equals(decode_value(encode_value(v)), v)
+        assert decode_value(encode_value(v)) == v
 
 
 def test_encoding_deterministic_across_equal_values():
@@ -277,7 +287,7 @@ def test_call_round_trip():
         decoded = decode_call(encode_call(call))
         assert decoded.method == call.method
         assert len(decoded.args) == len(call.args)
-        assert all(value_equals(x, y) for x, y in zip(decoded.args, call.args))
+        assert all(x == y for x, y in zip(decoded.args, call.args))
 
 
 def test_reply_round_trip():
@@ -293,4 +303,4 @@ def test_reply_round_trip():
         if reply.fault is not None:
             assert decoded.fault == reply.fault
         else:
-            assert value_equals(decoded.result, reply.result)
+            assert decoded.result == reply.result
