@@ -56,7 +56,7 @@ def snapshot_instance(instance, descriptor: ClassDescriptor) -> VRecord:
     for name, declared in descriptor.state_fields:
         try:
             fields.append((name, to_value(getattr(instance, name), declared, _state_leaf)))
-        except TypeMismatchError as exc:
+        except (TypeMismatchError, AttributeError) as exc:
             raise InternalFaultError(f"cannot snapshot {descriptor.name}.{name}: {exc}") from None
     return VRecord(descriptor.name, fields)
 

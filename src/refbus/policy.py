@@ -1,19 +1,19 @@
 """Transmission policy storage and resolution.
 
 A policy chooses between copying a component's state across the wire
-(BY_VALUE) and sending a remote reference to it (BY_REFERENCE). Policies
-attach at four stored scopes (class, method, parameter, return value)
-plus per-call overrides, and resolution picks the most specific layer
-present:
+(BY_VALUE) and sending a remote reference to it (BY_REFERENCE); setting
+anything else raises TypeError. Policies attach at four stored scopes
+(class, method, parameter, return value) plus per-call overrides, and
+resolution takes the first layer, in this order, that holds a policy:
 
     per-call position > per-call whole call > stored param/return
     > stored method > stored class > system default (BY_VALUE)
 
-Class policies key on the component's runtime class name; method, param,
-and return policies key on the deployed interface. Resolution never looks
-at the value being transmitted, only at names and positions; values that
-are not components always travel by value regardless of what resolution
-says.
+The stored scopes share one table keyed by ``(scope, names...)``. Class
+policies key on the component's runtime class name; method, param, and
+return policies on the deployed interface. Resolution never looks at the
+value being transmitted, only at names and positions; values that are not
+components always travel by value regardless of what resolution says.
 """
 
 from __future__ import annotations
@@ -33,11 +33,18 @@ BY_VALUE = TransmissionPolicy.BY_VALUE
 BY_REFERENCE = TransmissionPolicy.BY_REFERENCE
 
 
+def _check_policy(policy) -> None:
+    if not isinstance(policy, TransmissionPolicy):
+        raise TypeError(f"a policy is BY_VALUE or BY_REFERENCE, got {policy!r}")
+
+
 @dataclass(frozen=True)
 class ParamPos:
     index: int
 
     def __post_init__(self):
+        if isinstance(self.index, bool) or not isinstance(self.index, int):
+            raise TypeError(f"parameter index must be an int, got {self.index!r}")
         if self.index < 0:
             raise ValueError("parameter index must be non-negative")
 
@@ -60,6 +67,18 @@ class CallOverride:
     for_return: TransmissionPolicy | None = None
     whole_call: TransmissionPolicy | None = None
 
+    def __post_init__(self):
+        for index, policy in self.per_param.items():
+            ParamPos(index)
+            _check_policy(policy)
+        for policy in (self.for_return, self.whole_call):
+            if policy is not None:
+                _check_policy(policy)
+
+
+# The stored scopes, in dump() order, and how dump() spells their keys.
+_SPELLING = {"classes": "{}", "methods": "{}.{}", "params": "{}.{}[{}]", "returns": "{}.{}"}
+
 
 class PolicyStore:
     """Stored transmission policies for one node.
@@ -71,39 +90,28 @@ class PolicyStore:
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._classes: dict[str, TransmissionPolicy] = {}
-        self._methods: dict[tuple[str, str], TransmissionPolicy] = {}
-        self._params: dict[tuple[str, str, int], TransmissionPolicy] = {}
-        self._returns: dict[tuple[str, str], TransmissionPolicy] = {}
+        self._table: dict[tuple, TransmissionPolicy] = {}
 
-    @staticmethod
-    def _require(*names: str):
-        for name in names:
-            if not name:
-                raise ValueError("policy names must be non-empty")
+    def _set(self, key: tuple, policy: TransmissionPolicy):
+        if not all(key[1:3]):  # the names; a param key's index follows them
+            raise ValueError("policy names must be non-empty")
+        _check_policy(policy)
+        with self._lock:
+            self._table[key] = policy
 
     def set_class_policy(self, class_name: str, policy: TransmissionPolicy):
-        self._require(class_name)
-        with self._lock:
-            self._classes[class_name] = policy
+        self._set(("classes", class_name), policy)
 
     def set_method_policy(self, iface_name: str, method_name: str, policy: TransmissionPolicy):
-        self._require(iface_name, method_name)
-        with self._lock:
-            self._methods[(iface_name, method_name)] = policy
+        self._set(("methods", iface_name, method_name), policy)
 
     def set_param_policy(
         self, iface_name: str, method_name: str, index: int, policy: TransmissionPolicy
     ):
-        self._require(iface_name, method_name)
-        ParamPos(index)  # refuses a negative index
-        with self._lock:
-            self._params[(iface_name, method_name, index)] = policy
+        self._set(("params", iface_name, method_name, ParamPos(index).index), policy)
 
     def set_return_policy(self, iface_name: str, method_name: str, policy: TransmissionPolicy):
-        self._require(iface_name, method_name)
-        with self._lock:
-            self._returns[(iface_name, method_name)] = policy
+        self._set(("returns", iface_name, method_name), policy)
 
     def resolve(
         self,
@@ -114,44 +122,26 @@ class PolicyStore:
         override: CallOverride | None = None,
     ) -> TransmissionPolicy:
         """Effective policy for one transmitted position; total and deterministic."""
-        if override is not None:
-            if isinstance(position, ParamPos):
-                p = override.per_param.get(position.index)
-            else:
-                p = override.for_return
-            if p is not None:
-                return p
-            if override.whole_call is not None:
-                return override.whole_call
         if isinstance(position, ParamPos):
-            p = self._params.get((iface_name, method_name, position.index))
+            per_call = override.per_param.get(position.index) if override else None
+            stored = ("params", iface_name, method_name, position.index)
         else:
-            p = self._returns.get((iface_name, method_name))
-        if p is not None:
-            return p
-        p = self._methods.get((iface_name, method_name))
-        if p is not None:
-            return p
-        if runtime_class_name is not None:
-            p = self._classes.get(runtime_class_name)
-            if p is not None:
-                return p
-        return BY_VALUE
+            per_call = override.for_return if override else None
+            stored = ("returns", iface_name, method_name)
+        return (
+            per_call
+            or (override.whole_call if override else None)
+            or self._table.get(stored)
+            or self._table.get(("methods", iface_name, method_name))
+            or self._table.get(("classes", runtime_class_name))
+            or BY_VALUE
+        )
 
     def dump(self) -> dict:
         """Read-only snapshot of the stored policies."""
+        out = {"default": BY_VALUE.value, **{scope: {} for scope in _SPELLING}}
         with self._lock:
-            return {
-                "default": BY_VALUE.value,
-                "classes": {k: v.value for k, v in sorted(self._classes.items())},
-                "methods": {
-                    f"{i}.{m}": v.value for (i, m), v in sorted(self._methods.items())
-                },
-                "params": {
-                    f"{i}.{m}[{n}]": v.value
-                    for (i, m, n), v in sorted(self._params.items())
-                },
-                "returns": {
-                    f"{i}.{m}": v.value for (i, m), v in sorted(self._returns.items())
-                },
-            }
+            entries = sorted(self._table.items())
+        for (scope, *names), policy in entries:
+            out[scope][_SPELLING[scope].format(*names)] = policy.value
+        return out

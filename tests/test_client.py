@@ -29,6 +29,7 @@ from refbus import (
     FaultCode,
     InterfaceDescriptor,
     InterfaceType,
+    InternalFaultError,
     InvalidNameError,
     MethodSig,
     NetworkError,
@@ -275,6 +276,19 @@ def test_malformed_http_reply_is_a_network_error(make_node, raw_reply, error, vi
     with pytest.raises(NetworkError) as info:
         request()
     assert type(info.value.__cause__).__name__ == error
+
+
+def test_a_reply_other_than_200_is_a_network_error_naming_its_status(make_node, raw_reply):
+    """A GET of a deployment path without ?wsdl gets the node's 404; a
+    POST answered 503 is not retried (raw_reply takes one connection)."""
+    node = make_node()
+    node.deploy("INamedEntity", Student("Bobby Jones", 1234), "bob")
+    with pytest.raises(NetworkError, match=f"^GET 127.0.0.1:{node.port}/bob returned HTTP 404$"):
+        http_get(node.host, node.port, "/bob", timeout=5)
+    port = raw_reply(b"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 0\r\n\r\n")
+    call = encode_call(CallEnvelope("getName", []))
+    with pytest.raises(NetworkError, match=f"^POST 127.0.0.1:{port}/bob returned HTTP 503$"):
+        post_call("127.0.0.1", port, "/bob", call, timeout=5)
 
 
 def test_reference_to_an_unusable_host_is_a_network_error(make_node):
@@ -669,6 +683,28 @@ def test_a_call_timeout_bounds_its_snapshots_and_the_call_together(make_node):
     opts = CallOptions(override=CallOverride(whole_call=BY_VALUE), timeout=1.0)
     with pytest.raises(CallTimeout):
         holder.invoke("setItem", [john], opts)
+
+
+def test_a_by_value_argument_that_cannot_be_snapshotted_is_not_sent(make_node, monkeypatch):
+    """An argument instance that lacks a declared state field raises
+    InternalFaultError, with the snapshot fault's text, before any request
+    goes out."""
+    server, consumer = make_node(), make_node()
+    mary = Person("Mary Smith", 40)
+    server.deploy("IPerson", mary, "mary")
+    proxy = consumer.get_component_by_name("mary", server.host, server.port)
+    half = Person("Half", 3)
+    del half.age
+
+    def no_io(*args):
+        raise AssertionError("a call whose argument cannot be copied reached the network")
+
+    monkeypatch.setattr(refbus.client, "_http_request", no_io)
+    override = CallOptions(override=CallOverride(whole_call=BY_VALUE))
+    with pytest.raises(InternalFaultError) as info:
+        proxy.invoke("setSpouse", [half], override)
+    assert str(info.value) == "cannot snapshot Person.age: 'Person' object has no attribute 'age'"
+    assert mary.spouse is None
 
 
 def test_a_call_whose_timeout_has_run_out_is_not_sent(make_node, monkeypatch):

@@ -481,6 +481,10 @@ _ENVELOPE_REPLIES = [
             "arg 0 $: expected list<i64>, got str; arg 1 $: expected str, got list",
         ),
     ),
+    (
+        '{"method":"take","args":[{"t":"list","v":5},' + _NAME + "]}",
+        _fault("BAD_ENVELOPE", "$.args[0]: list payload must be an array"),
+    ),
     ('{"method":"__snapshot","args":[]}', '{"result":{"t":"rec","type":"Pair","v":{}}}'),
     (
         '{"method":"__resolve","args":[1]}',

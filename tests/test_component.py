@@ -129,3 +129,17 @@ def test_snapshot_fault_names_the_field_and_the_misfit(declared, item, message):
     with pytest.raises(InternalFaultError) as info:
         snapshot_instance(_Holder(item), descriptor)
     assert str(info.value) == f"cannot snapshot Holder.item: {message}"
+
+
+def test_snapshot_of_a_missing_state_attribute_is_an_internal_fault():
+    half = Person("Half", 3)
+    del half.age
+    with pytest.raises(InternalFaultError) as info:
+        snapshot_instance(half, PERSON_CLASS)
+    assert str(info.value) == "cannot snapshot Person.age: 'Person' object has no attribute 'age'"
+
+
+def test_snapshot_keeps_a_record_held_as_state():
+    point = VRecord("Pt", [("x", VInt(1)), ("label", VStr("a"))])
+    descriptor = ClassDescriptor("Holder", state_fields=[("item", RecordType("Pt"))])
+    assert snapshot_instance(_Holder(point), descriptor).get("item") is point

@@ -19,7 +19,17 @@ from refbus.inspector import (
     main,
     parse_literal,
 )
-from refbus.values import NULL, Ior, VBool, VFloat, VInt, VRef, VStr
+from refbus import (
+    ClassDescriptor,
+    ComponentHandle,
+    InterfaceDescriptor,
+    InterfaceType,
+    ListOf,
+    MethodSig,
+    Prim,
+    RecordType,
+)
+from refbus.values import NULL, Ior, VBool, VFloat, VInt, VRecord, VRef, VStr
 from refbus.scenarios import Person, Student
 
 
@@ -205,6 +215,76 @@ def test_call_prints_reference_results_as_ior_fields(make_node, capsys):
     assert code == EXIT_OK
     assert out.startswith("ref ")
     assert "IPerson" in out
+
+
+class Gauge:
+    def ready(self):
+        return True
+
+    def level(self):
+        return 2.5
+
+    def origin(self):
+        return VRecord("Pt", [("x", VInt(1)), ("label", VStr("o"))])
+
+    def history(self):
+        return [[1, 2], []]
+
+    def owner(self):
+        return None
+
+
+_GAUGE_METHODS = [
+    MethodSig("ready", (), Prim.BOOL),
+    MethodSig("level", (), Prim.F64),
+    MethodSig("origin", (), RecordType("Pt")),
+    MethodSig("history", (), ListOf(ListOf(Prim.I64))),
+    MethodSig("owner", (), InterfaceType("INamedEntity")),
+]
+
+
+@pytest.fixture
+def gauge_node(make_node):
+    node = make_node()
+    node.register_record("Pt", [("x", Prim.I64), ("label", Prim.STR)])
+    node.register_interface(InterfaceDescriptor("IGauge", _GAUGE_METHODS))
+    node.deploy("IGauge", ComponentHandle(Gauge(), ClassDescriptor("Gauge", methods=_GAUGE_METHODS)), "gauge")
+    return node
+
+
+@pytest.mark.parametrize(
+    "method, printed",
+    [
+        ("ready", "true"),
+        ("level", "2.5"),
+        ("origin", '{"t":"rec","type":"Pt","v":{"x":{"t":"i64","v":1},"label":{"t":"str","v":"o"}}}'),
+        (
+            "history",
+            '{"t":"list","v":[{"t":"list","v":[{"t":"i64","v":1},{"t":"i64","v":2}]},'
+            '{"t":"list","v":[]}]}',
+        ),
+        ("owner", "null"),
+    ],
+)
+def test_call_prints_each_kind_of_result(gauge_node, capsys, method, printed):
+    code, out, _ = _run(capsys, f"{gauge_node.host}:{gauge_node.port}", "call", "gauge", method)
+    assert (code, out) == (EXIT_OK, printed + "\n")
+
+
+def test_describe_shows_records_and_further_interfaces(gauge_node, capsys):
+    code, out, _ = _run(capsys, f"{gauge_node.host}:{gauge_node.port}", "describe", "gauge")
+    assert code == EXIT_OK
+    assert out.splitlines() == [
+        "interface IGauge",
+        "  ready() -> bool",
+        "  level() -> f64",
+        "  origin() -> Pt",
+        "  history() -> list<list<i64>>",
+        "  owner() -> INamedEntity",
+        "record Pt {x: i64, label: str}",
+        "interface INamedEntity",
+        "  getName() -> str",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from refbus.policy import RETURN, ParamPos
 from refbus.values import Ior, VInt, VRecord, VRef, VStr
 from refbus.wire import CallEnvelope, decode_reply, encode_call
 from refbus.client import http_get, post_call
-from refbus.scenarios import INAMED_ENTITY, Person, Student, register_demo_types
+from refbus.scenarios import INAMED_ENTITY, IPERSON, PERSON_CLASS, Person, Student, register_demo_types
 
 
 def _call(node, path, method, args=()):
@@ -321,6 +321,29 @@ def test_fault_raised_by_component_is_internal(make_node):
     reply = _call(node, "/liar", "boom")
     assert reply.fault.code is FaultCode.INTERNAL
     assert reply.fault.message == "UnknownServiceError: not really"
+
+
+def test_a_copy_whose_constructor_raises_is_an_internal_fault(make_node):
+    """Building a by-value argument can raise anything; the call faults
+    INTERNAL with the exception's type and text, the method never runs,
+    and the node answers the next call."""
+
+    class Grumpy(Person):
+        def __init__(self, name, age):
+            raise ValueError("grumpy people are not copied")
+
+    node = make_node()
+    node.register_class(Grumpy, ClassDescriptor("Grumpy", PERSON_CLASS.state_fields, IPERSON.methods))
+    mary = Person("Mary Smith", 40)
+    node.deploy("IPerson", mary, "mary")
+    grumpy = VRecord("Grumpy", [("name", VStr("G")), ("age", VInt(3))])
+    reply = _call(node, "/mary", "setSpouse", [grumpy])
+    assert (reply.fault.code, reply.fault.message) == (
+        FaultCode.INTERNAL,
+        "ValueError: grumpy people are not copied",
+    )
+    assert mary.spouse is None
+    assert _call(node, "/mary", "getAge").result == VInt(40)
 
 
 def test_forged_local_reference_faults_unknown_service(make_node):
@@ -815,6 +838,26 @@ def test_marshal_type_mismatches(make_node):
         _marshal(node, object(), InterfaceType("IPerson"))
     with pytest.raises(TypeMismatchError):
         _marshal(node, None, Prim.I64)
+    named = node.proxy_for_ior(Ior("127.0.0.1", 1, 7, "INamedEntity"))
+    with pytest.raises(TypeMismatchError) as info:
+        _marshal(node, named, InterfaceType("IPerson"))
+    assert str(info.value) == "reference to 'INamedEntity' does not fit interface IPerson"
+
+
+def test_an_instance_missing_state_faults_where_it_is_copied(make_node):
+    """A by-value return and a __snapshot of an instance that lacks a
+    declared state field each fault with the "cannot snapshot" text."""
+    node = make_node()
+    half = Person("Half", 3)
+    del half.age
+    mary = Person("Mary Smith", 40)
+    mary.setSpouse(half)
+    node.deploy("IPerson", mary, "mary")
+    node.deploy("IPerson", half, "half")
+    message = "cannot snapshot Person.age: 'Person' object has no attribute 'age'"
+    for path, method in (("/mary", "getSpouse"), ("/half", "__snapshot")):
+        reply = _call(node, path, method)
+        assert (reply.fault.code, reply.fault.message) == (FaultCode.INTERNAL, message)
 
 
 def test_marshal_none_is_null_at_reference_positions(make_node):
