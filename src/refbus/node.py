@@ -34,6 +34,7 @@ from http import HTTPStatus
 from urllib.parse import parse_qs
 
 from . import client as _client
+from .client import MAX_HEADERS, MAX_LINE
 from .component import ComponentHandle, snapshot_instance
 from .errors import (
     FaultCode,
@@ -83,10 +84,6 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 # Seconds a connection may send nothing before the node closes it and its
 # thread ends: between requests, or partway through one.
 IDLE_TIMEOUT_S = 30.0
-# A request's head, as http.server and http.client bound it: each line at
-# most MAX_LINE bytes with its line break, at most MAX_HEADERS header lines.
-MAX_LINE = 65536
-MAX_HEADERS = 100
 
 
 class Node:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import Mapping, Union
 
 
@@ -61,13 +62,15 @@ Position = Union[ParamPos, ReturnPos]
 
 @dataclass(frozen=True)
 class CallOverride:
-    """Per-invocation policy overrides; applies to exactly one call."""
+    """Per-invocation policy overrides; applies to exactly one call.
+    ``per_param`` is kept as a read-only copy, so the checks made here hold."""
 
     per_param: Mapping[int, TransmissionPolicy] = field(default_factory=dict)
     for_return: TransmissionPolicy | None = None
     whole_call: TransmissionPolicy | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "per_param", MappingProxyType(dict(self.per_param)))
         for index, policy in self.per_param.items():
             ParamPos(index)
             _check_policy(policy)

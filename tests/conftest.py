@@ -14,6 +14,7 @@ import socket
 import string
 import struct
 import threading
+import time
 
 import pytest
 
@@ -246,7 +247,8 @@ def raw_reply():
     socket may have had a second connection: calls are at-most-once."""
     listeners, threads = [], []
 
-    def serve(reply: bytes) -> int:
+    def serve(reply: bytes, *, bytewise: bool = False) -> int:
+        """``bytewise`` sends the reply one byte per write, a millisecond apart."""
         listener = socket.create_server(("127.0.0.1", 0))
         listener.settimeout(5)
 
@@ -255,8 +257,14 @@ def raw_reply():
                 conn, _ = listener.accept()
                 with conn:
                     conn.settimeout(5)
+                    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                     _read_request(conn)
-                    conn.sendall(reply)
+                    if bytewise:
+                        for i in range(len(reply)):
+                            conn.sendall(reply[i : i + 1])
+                            time.sleep(0.001)
+                    else:
+                        conn.sendall(reply)
                     conn.shutdown(socket.SHUT_WR)
 
         listeners.append(listener)

@@ -10,6 +10,7 @@ import http.client
 import math
 import pickle
 import re
+import socketserver
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -276,6 +277,117 @@ def test_malformed_http_reply_is_a_network_error(make_node, raw_reply, error, vi
     with pytest.raises(NetworkError) as info:
         request()
     assert type(info.value.__cause__).__name__ == error
+
+
+# Replies the client's reader refuses, each on one connection, by the
+# http.client error it raises
+_REFUSED_REPLIES = {
+    "a 101st header line": (
+        b"HTTP/1.1 200 OK\r\n" + b"X-A: b\r\n" * 101 + b"Content-Length: 2\r\n\r\n{}",
+        http.client.HTTPException,
+    ),
+    "chunked": (
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+        http.client.HTTPException,
+    ),
+    "non-digit Content-Length": (
+        b"HTTP/1.1 200 OK\r\nContent-Length: 2x\r\n\r\n{}",
+        http.client.HTTPException,
+    ),
+    "close before a status line": (b"", http.client.RemoteDisconnected),
+    "close inside the head": (b"HTTP/1.1 200 OK\r\nContent-Len", http.client.IncompleteRead),
+    "a huge Content-Length": (
+        b"HTTP/1.1 200 OK\r\nContent-Length: 100000000000\r\n\r\nabc",
+        http.client.IncompleteRead,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED_REPLIES))
+def test_a_refused_reply_is_a_network_error(raw_reply, case):
+    """Each refusal is http.client's own error under a NetworkError, from
+    one request: a declared length of 100 GB, 3 bytes sent, is read piece
+    by piece (before, http.client reserved it all and raised MemoryError)."""
+    reply, error = _REFUSED_REPLIES[case]
+    port = raw_reply(reply)
+    with pytest.raises(NetworkError) as info:
+        http_get("127.0.0.1", port, "/x?wsdl", timeout=5)
+    assert type(info.value.__cause__) is error
+
+
+def test_a_reply_sent_one_byte_at_a_time_is_read_whole(make_node, raw_reply):
+    body = encode_reply(ReplyEnvelope.ok(VStr("Bobby Jones"))).encode()
+    port = raw_reply(
+        b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body), bytewise=True
+    )
+    proxy = make_node().proxy_for_ior(Ior("127.0.0.1", port, 0, "INamedEntity"))
+    assert proxy.getName() == "Bobby Jones"
+
+
+def test_a_reply_without_content_length_is_read_to_close(raw_reply):
+    port = raw_reply(b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n{\"a\":1}")
+    assert http_get("127.0.0.1", port, "/x?wsdl", timeout=5) == '{"a":1}'
+
+
+@pytest.mark.parametrize("path", ["/b\u00e9?wsdl", "/bob ?wsdl", "/bob\r\n?wsdl", "/\x7f", ""])
+def test_a_target_that_is_not_printable_ascii_is_refused_before_connecting(
+    make_node, monkeypatch, path
+):
+    """A non-ASCII target raised a bare UnicodeEncodeError before; now every
+    target that is not printable ASCII without spaces is an InvalidURL
+    under a NetworkError, and no connection is opened."""
+    node = make_node()
+
+    def no_connect(self):
+        raise AssertionError("a request with a bad target was connected")
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", no_connect)
+    call = encode_call(CallEnvelope("getName", []))
+    for request in (
+        functools.partial(http_get, node.host, node.port, path, timeout=5),
+        functools.partial(post_call, node.host, node.port, path, call, timeout=5),
+    ):
+        with pytest.raises(NetworkError) as info:
+            request()
+        assert type(info.value.__cause__) is http.client.InvalidURL
+
+
+def test_each_request_opens_and_is_accepted_on_one_connection(make_node, monkeypatch):
+    """A proxy call, a ?wsdl GET and a by-value proxy argument's remote
+    snapshot each make one HTTPConnection.connect and one process_request,
+    the two names bench/tracer.py counts connections and accepts by. This
+    test is deleted with the bench change that counts them in refbus."""
+    counts = {"connect": 0, "accept": 0}
+
+    def counting(key, original):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    node_a, node_b = _holder_node(make_node), make_node()
+    node_a.deploy("IPerson", Person("john", 35), "john")
+    node_a.deploy(IHOLDER, Holder(), "holder")
+    node_b.register_interface(IHOLDER)
+    john = node_b.get_component_by_name("john", node_a.host, node_a.port)
+    holder = node_b.get_component_by_name("holder", node_a.host, node_a.port)
+    monkeypatch.setattr(
+        http.client.HTTPConnection, "connect",
+        counting("connect", http.client.HTTPConnection.connect),
+    )
+    monkeypatch.setattr(
+        socketserver.ThreadingMixIn, "process_request",
+        counting("accept", socketserver.ThreadingMixIn.process_request),
+    )
+    by_value = CallOptions(override=CallOverride(whole_call=BY_VALUE))
+    for request, requests in [
+        (john.getAge, 1),
+        (functools.partial(http_get, node_a.host, node_a.port, "/john?wsdl"), 1),
+        (functools.partial(holder.invoke, "setItem", [john], by_value), 2),  # snapshot, call
+    ]:
+        counts.update(connect=0, accept=0)
+        request()
+        assert counts == {"connect": requests, "accept": requests}
 
 
 def test_a_reply_other_than_200_is_a_network_error_naming_its_status(make_node, raw_reply):

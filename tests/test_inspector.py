@@ -159,6 +159,15 @@ def test_malformed_http_reply_exit_2(raw_reply, capsys):
     assert err.startswith("refbus-inspect: GET ") and err.count("\n") == 1
 
 
+def test_a_name_no_request_line_can_carry_exits_2(bob_node, capsys):
+    """describe of a non-ASCII name printed a UnicodeEncodeError traceback
+    and exited 1; the request is refused before it is sent."""
+    code, out, err = _run(capsys, f"{bob_node.host}:{bob_node.port}", "describe", "b\u00e9")
+    assert (code, out) == (EXIT_NETWORK, "")
+    assert err.startswith("refbus-inspect: GET ") and err.count("\n") == 1
+    assert "InvalidURL" in err
+
+
 def test_usage_error_exit_4(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["127.0.0.1:1", "frobnicate"])

@@ -91,3 +91,18 @@ def test_dump_spells_every_scope():
         ["IPerson.setSpouse[2]", "IPerson.setSpouse[10]"],
         ["IPerson.getSpouse"],
     ]
+
+
+def test_a_call_override_keeps_a_read_only_copy_of_per_param():
+    """Changing the caller's dict afterwards changes nothing, and the
+    override's own mapping refuses assignment, so its checks still hold."""
+    given = {0: BY_VALUE}
+    override = CallOverride(per_param=given)
+    given[0] = "BY_REFERENCE"
+    given[True] = BY_REFERENCE
+    store = PolicyStore()
+    assert store.resolve(ParamPos(0), "IPerson", "setSpouse", "Person", override) is BY_VALUE
+    assert store.resolve(ParamPos(1), "IPerson", "setSpouse", "Person", override) is BY_VALUE
+    with pytest.raises(TypeError):
+        override.per_param[0] = "BY_REFERENCE"
+    assert dict(override.per_param) == {0: BY_VALUE}
