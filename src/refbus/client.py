@@ -2,9 +2,9 @@
 and name-based lookup.
 
 Each request takes a fresh connection, opened by ``http.client`` (its host
-check, ``TCP_NODELAY`` and audit event), then leaves in one write; the
-client reads the reply's status line, ``Content-Length`` and body itself.
-A reply it cannot read raises ``http.client``'s own error for it, which
+check, ``TCP_NODELAY`` and audit event), then leaves in one write; ``http1``
+frames the request and reads the reply, under the rules the node reads
+requests by. A reply it refuses (``http1.Malformed``, ``http1.Truncated``)
 reaches the caller as NetworkError.
 
 A proxy forwards interface-method calls to the component its Ior points
@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import functools
 import http.client
-import re
 import socket
 import time
 from dataclasses import dataclass
 from threading import TIMEOUT_MAX
 
+from . import http1
 from .errors import (
     BadEnvelopeError,
     CallTimeout,
@@ -86,103 +86,26 @@ class CallOptions:
 DEFAULT_OPTIONS = CallOptions()
 
 
-# A head line is at most MAX_LINE bytes with its line break, and a head has
-# at most MAX_HEADERS header lines, as http.server and http.client bound them;
-# the node reads requests and the client reads replies under these limits.
-MAX_LINE = 65536
-MAX_HEADERS = 100
-# A reply body is read in pieces of at most this many bytes, so a declared
-# Content-Length reserves no memory that the peer has not sent.
-_PIECE = 1 << 20
-# A request target: printable ASCII without spaces (RFC 9112 §3.2).
-_TARGET = re.compile(r"[!-~]+")
-# HTTP/1.x NNN, then an optional reason phrase (RFC 9112 §4).
-_STATUS_LINE = re.compile(rb"HTTP/1\.[0-9] ([0-9]{3})(?: [^\r\n]*)?\r?\n")
-
-
-def _request_bytes(conn, method: str, path: str, body: bytes | None) -> bytes:
-    """The whole request: request line, Host and, with a body, its
-    Content-Type and Content-Length, then the body."""
-    if not _TARGET.fullmatch(path):
-        raise http.client.InvalidURL(f"a request target is printable ASCII without spaces: {path!r}")
-    host = conn.host.encode("ascii" if conn.host.isascii() else "idna")
-    if b":" in host:  # an IPv6 literal
-        host = b"[%s]" % host
-    head = b"%s %s HTTP/1.1\r\nHost: %s:%d\r\n" % (method.encode(), path.encode(), host, conn.port)
-    if body is None:
-        return head + b"\r\n"
-    return b"%sContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s" % (
-        head, len(body), body,
-    )
-
-
-def _read_line(rfile, what: str) -> bytes:
-    line = rfile.readline(MAX_LINE + 1)
-    if len(line) > MAX_LINE:
-        raise http.client.LineTooLong(what)
-    return line
-
-
-def _read_reply(rfile) -> tuple[int, bytes]:
-    """(status, body) of one reply. The body is Content-Length bytes, or
-    runs to EOF without one; each misfit raises http.client's own error."""
-    line = _read_line(rfile, "status line")
-    if not line:
-        raise http.client.RemoteDisconnected("Remote end closed connection without response")
-    match = _STATUS_LINE.fullmatch(line)
-    if match is None:
-        raise http.client.BadStatusLine(line.decode("latin-1"))
-    status = int(match[1])
-    length = None
-    for _ in range(MAX_HEADERS + 1):
-        line = _read_line(rfile, "header line")
-        if line in (b"\r\n", b"\n"):
-            break
-        if not line.endswith(b"\n"):
-            raise http.client.IncompleteRead(line)
-        name, _, value = line.partition(b":")
-        name, value = name.strip().lower(), value.strip()
-        if name == b"transfer-encoding":
-            raise http.client.HTTPException("a reply with Transfer-Encoding is not accepted")
-        if name == b"content-length":
-            # Zeros may pad; past 18 digits (an exabyte) int() may refuse it.
-            digits = value.lstrip(b"0") or b"0"
-            if length is not None or not value.isdigit() or len(digits) > 18:
-                raise http.client.HTTPException(f"invalid Content-Length: {value!r}")
-            length = int(digits)
-    else:
-        raise http.client.HTTPException(f"got more than {MAX_HEADERS} headers")
-    if length is None:
-        return status, rfile.read()
-    pieces = []
-    while length:
-        piece = rfile.read(min(length, _PIECE))
-        if not piece:
-            raise http.client.IncompleteRead(b"".join(pieces), length)
-        pieces.append(piece)
-        length -= len(piece)
-    return status, b"".join(pieces)
-
-
 def _http_request(host, port, method, path, body: bytes | None, timeout: float):
     """(status, body) of one request on a fresh connection. http.client
-    only opens it; the request goes out in one write. Nothing is retried."""
+    only opens it; the request goes out in one write. Nothing is retried;
+    every refusal, a host with no IDNA form included, is a NetworkError."""
     try:
         conn = http.client.HTTPConnection(host, port, timeout=timeout)
         try:
-            request = _request_bytes(conn, method, path, body)
+            request = http1.request_bytes(method, path, conn.host, conn.port, body)
             conn.connect()
             conn.sock.sendall(request)
             with conn.sock.makefile("rb") as rfile:
-                return _read_reply(rfile)
+                return http1.read_reply(rfile)
         finally:
             conn.close()
     except socket.timeout as exc:
         raise CallTimeout(f"{method} {host}:{port}{path} timed out") from exc
     except OSError as exc:
         raise NetworkError(f"{method} {host}:{port}{path} failed: {exc}") from exc
-    except http.client.HTTPException as exc:  # its text may quote the peer's line breaks
-        raise NetworkError(f"{method} {host}:{port}{path} failed: {exc!r}") from exc
+    except (http.client.InvalidURL, http1.Malformed, http1.Truncated, UnicodeError) as exc:
+        raise NetworkError(f"{method} {host}:{port}{path} failed: {type(exc).__name__}: {exc}") from exc
 
 
 def post_call(host, port, path, call: str, timeout: float = DEFAULT_TIMEOUT) -> bytes:

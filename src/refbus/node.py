@@ -15,8 +15,8 @@ HTTP mapping (bodies are application/json), exactly these paths:
     GET  /              deployment listing
 
 Application errors travel as fault envelopes with HTTP 200; only malformed
-HTTP itself yields a 400, as does a GET that declares a body. The node reads
-each request's head and writes each reply itself (see ``_Handler``).
+HTTP itself yields a 400, as does a GET that declares a body. ``http1``
+reads each request and writes each reply (see ``_Handler``).
 """
 
 from __future__ import annotations
@@ -24,17 +24,15 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import socket
 import socketserver
 import struct
 import sys
 import threading
-from http import HTTPStatus
 from urllib.parse import parse_qs
 
 from . import client as _client
-from .client import MAX_HEADERS, MAX_LINE
+from . import http1
 from .component import ComponentHandle, snapshot_instance
 from .errors import (
     FaultCode,
@@ -478,114 +476,10 @@ class Node:
             raise InternalFaultError(f"{type(exc).__name__}: {exc}") from exc
 
 
-# METHOD SP request-target SP HTTP/1.x (RFC 9112 §3), the method a token.
-_REQUEST_LINE = re.compile(rb"([-!#$%&'*+.^_`|~0-9A-Za-z]+) (\S+) HTTP/1\.([0-9])\r?\n")
-
-
-def _read_line(rfile) -> bytes:
-    """One line of a request's head, with its line break. ValueError for a
-    line longer than MAX_LINE; EOFError when the peer closes the connection
-    or goes idle first."""
-    line = rfile.readline(MAX_LINE + 1)
-    if len(line) > MAX_LINE:
-        raise ValueError(f"a line of the request head is longer than {MAX_LINE} bytes")
-    if not line.endswith(b"\n"):
-        raise EOFError
-    return line
-
-
-def _read_fields(rfile) -> dict[bytes, list[bytes]]:
-    """Read header lines up to the empty line that ends a request's head;
-    returns each field's values by lower-cased name. ValueError for more
-    than MAX_HEADERS lines, a line without a colon, a space before the
-    colon (RFC 9112 §5.1 requires a 400 for it) and a folded line (obs-fold,
-    which §5.2 lets a server refuse instead of unfolding)."""
-    fields: dict[bytes, list[bytes]] = {}
-    count = 0
-    while (line := _read_line(rfile)) not in (b"\r\n", b"\n"):
-        count += 1
-        if count > MAX_HEADERS:
-            raise ValueError(f"more than {MAX_HEADERS} header lines")
-        if line[0] in b" \t":
-            raise ValueError("a folded header line (obs-fold) is not accepted")
-        name, colon, value = line.partition(b":")
-        if not (colon and name) or name[-1] in b" \t":
-            raise ValueError("a header line is a name, a colon and a value")
-        fields.setdefault(name.lower(), []).append(value.rstrip(b"\r\n"))
-    return fields
-
-
-def _tokens(fields: dict[bytes, list[bytes]], name: bytes) -> set[bytes]:
-    """The comma-separated tokens of a header field, lower-cased."""
-    values = fields.get(name, ())
-    return {token.strip(b" \t").lower() for value in values for token in value.split(b",")}
-
-
-def _body_length(fields: dict[bytes, list[bytes]]) -> int:
-    """The body length a request declares. RFC 7230 §3.3.2-3.3.3 allow one
-    Content-Length of ASCII digits; a request with Transfer-Encoding, or
-    with any other Content-Length, raises ValueError."""
-    if b"transfer-encoding" in fields:
-        raise ValueError("Transfer-Encoding is not supported")
-    values = fields.get(b"content-length", [])
-    text = values[0].strip(b" \t") if len(values) == 1 else b""
-    if not text.isdigit():  # bytes.isdigit: ASCII digits only
-        raise ValueError("missing or invalid Content-Length")
-    digits = text.lstrip(b"0") or b"0"  # int() has a digit limit; zeros may pad
-    if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
-        raise ValueError("Content-Length out of bounds")
-    return int(digits)
-
-
-@functools.cache
-def _reply_head(status: int, keep_open: bool) -> bytes:
-    """A reply's status line and headers, up to the Content-Length value."""
-    close = b"" if keep_open else b"Connection: close\r\n"
-    phrase = HTTPStatus(status).phrase.encode("ascii")
-    return b"HTTP/1.1 %d %s\r\nContent-Type: application/json\r\n%sContent-Length: " % (
-        status, phrase, close,
-    )
-
-
-def _write_reply(sock: socket.socket, status: int, text: str, keep_open: bool):
-    data = text.encode("utf-8")
-    # One write: a body sent apart from its head would wait for the peer's
-    # delayed ACK under Nagle's algorithm, about 40 ms per keep-alive reply.
-    sock.sendall(b"%s%d\r\n\r\n%s" % (_reply_head(status, keep_open), len(data), data))
-
-
-def _read_request(sock: socket.socket, rfile) -> tuple[str, str, bool, bytes]:
-    """(method, target, keep the connection open, body) of one request;
-    ValueError for a request to refuse with 400."""
-    line = _read_line(rfile)
-    if line in (b"\r\n", b"\n"):  # RFC 9112 §2.2: one may precede a request
-        line = _read_line(rfile)
-    request = _REQUEST_LINE.fullmatch(line)
-    if request is None:
-        raise ValueError("a request line is METHOD target HTTP/1.x")
-    method, target, minor = request.groups()
-    fields = _read_fields(rfile)
-    http10 = minor == b"0"
-    keep_open = not http10 and b"close" not in _tokens(fields, b"connection")
-    body = b""
-    if method == b"POST":
-        length = _body_length(fields)
-        if not http10 and b"100-continue" in _tokens(fields, b"expect"):
-            sock.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
-        body = rfile.read(length)
-        if body is None or len(body) < length:  # the peer went idle or away
-            raise EOFError
-    elif method == b"GET" and (b"transfer-encoding" in fields or b"content-length" in fields):
-        # An unread body would be parsed as the next request.
-        if _body_length(fields):
-            raise ValueError("a GET request must not have a body")
-    return method.decode("ascii"), target.decode("latin-1"), keep_open, body
-
-
 class _Handler(socketserver.BaseRequestHandler):
-    """Serves one connection: reads each request's head with bytes
-    operations and answers it in one write, until the peer closes, goes
-    idle, or a request ends the connection."""
+    """Serves one connection: reads each request with ``http1`` and answers
+    it in one write, until the peer closes, goes idle, or a request ends the
+    connection."""
 
     def handle(self):
         sock = self.request
@@ -600,14 +494,14 @@ class _Handler(socketserver.BaseRequestHandler):
     def _answer(self, sock: socket.socket, rfile) -> bool:
         """Read and answer one request; False when the connection closes."""
         try:
-            method, target, keep_open, body = _read_request(sock, rfile)
+            method, target, keep_open, body = http1.read_request(sock, rfile, MAX_BODY_BYTES)
         except ValueError as exc:
-            _write_reply(sock, 400, json.dumps({"error": str(exc)}, separators=(",", ":")), False)
+            http1.write_reply(sock, 400, json.dumps({"error": str(exc)}, separators=(",", ":")), False)
             return False
         path, _, query = target.partition("?")
         status, text = self.server.node.handle_request(method, path, query, body)
         keep_open = keep_open and status == 200  # any other may leave a body unread
-        _write_reply(sock, status, text, keep_open)
+        http1.write_reply(sock, status, text, keep_open)
         return keep_open
 
 

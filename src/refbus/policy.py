@@ -136,7 +136,7 @@ class PolicyStore:
             or (override.whole_call if override else None)
             or self._table.get(stored)
             or self._table.get(("methods", iface_name, method_name))
-            or self._table.get(("classes", runtime_class_name))
+            or (runtime_class_name and self._table.get(("classes", runtime_class_name)))
             or BY_VALUE
         )
 

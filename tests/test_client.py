@@ -44,6 +44,7 @@ from refbus import (
     UnknownServiceError,
 )
 from refbus.client import Proxy, http_get, materialize, post_call
+from refbus.http1 import Malformed, Truncated
 from refbus.values import Ior, VInt, VList, VRecord, VRef, VStr
 from refbus.wire import CallEnvelope, ReplyEnvelope, decode_reply, encode_call, encode_reply
 from refbus.scenarios import PERSON_CLASS, Person, Student, register_demo_types
@@ -256,63 +257,78 @@ def test_a_lookup_timeout_bounds_both_of_its_requests(make_node, monkeypatch):
         consumer.get_component_by_name("bob", server.host, server.port, timeout=1.0)
 
 
-# Replies http.client cannot read, by the error each raises there
+# Replies the client cannot read, by the http.client error each raised
+# before http1 read them: now the refbus class and text of each refusal
 _MALFORMED_REPLIES = {
-    "IncompleteRead": b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nabc",
-    "BadStatusLine": b"SPDY/9 hello\r\n",
-    "LineTooLong": b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 70000 + b"\r\n\r\n",
+    "IncompleteRead": (
+        b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nabc",
+        Truncated, "the connection ended 7 bytes short of the body",
+    ),
+    "BadStatusLine": (
+        b"SPDY/9 hello\r\n", Malformed, "a status line is HTTP/1.x NNN, got b'SPDY/9 hello\\r\\n'",
+    ),
+    "LineTooLong": (
+        b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 70000 + b"\r\n\r\n",
+        Malformed, "a line of the head is longer than 65536 bytes",
+    ),
 }
 
 
 @pytest.mark.parametrize("via", ["proxy", "GET"])
 @pytest.mark.parametrize("error", sorted(_MALFORMED_REPLIES))
 def test_malformed_http_reply_is_a_network_error(make_node, raw_reply, error, via):
-    """A reply http.client cannot parse raises NetworkError from a proxy
-    call and a GET alike, once: the call is not retried."""
-    port = raw_reply(_MALFORMED_REPLIES[error])
+    """A reply the client cannot read raises NetworkError from a proxy call
+    and a GET alike, once: the call is not retried."""
+    reply, cause, text = _MALFORMED_REPLIES[error]
+    port = raw_reply(reply)
     if via == "proxy":
         request = make_node().proxy_for_ior(Ior("127.0.0.1", port, 0, "INamedEntity")).getName
     else:
         request = functools.partial(http_get, "127.0.0.1", port, "/x?wsdl", timeout=5)
     with pytest.raises(NetworkError) as info:
         request()
-    assert type(info.value.__cause__).__name__ == error
+    assert type(info.value.__cause__) is cause and str(info.value.__cause__) == text
 
 
 # Replies the client's reader refuses, each on one connection, by the
-# http.client error it raises
+# refbus class and text of the refusal
 _REFUSED_REPLIES = {
     "a 101st header line": (
         b"HTTP/1.1 200 OK\r\n" + b"X-A: b\r\n" * 101 + b"Content-Length: 2\r\n\r\n{}",
-        http.client.HTTPException,
+        Malformed, "more than 100 header lines",  # was http.client.HTTPException
     ),
     "chunked": (
         b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
-        http.client.HTTPException,
+        Malformed, "Transfer-Encoding is not supported",  # was http.client.HTTPException
     ),
     "non-digit Content-Length": (
         b"HTTP/1.1 200 OK\r\nContent-Length: 2x\r\n\r\n{}",
-        http.client.HTTPException,
+        Malformed, "invalid Content-Length",  # was http.client.HTTPException
     ),
-    "close before a status line": (b"", http.client.RemoteDisconnected),
-    "close inside the head": (b"HTTP/1.1 200 OK\r\nContent-Len", http.client.IncompleteRead),
+    "close before a status line": (
+        b"", Truncated, "the connection ended inside a head",  # was RemoteDisconnected
+    ),
+    "close inside the head": (
+        b"HTTP/1.1 200 OK\r\nContent-Len",
+        Truncated, "the connection ended inside a head",  # was http.client.IncompleteRead
+    ),
     "a huge Content-Length": (
         b"HTTP/1.1 200 OK\r\nContent-Length: 100000000000\r\n\r\nabc",
-        http.client.IncompleteRead,
+        Truncated, "the connection ended 99999999997 bytes short of the body",  # was IncompleteRead
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_REFUSED_REPLIES))
 def test_a_refused_reply_is_a_network_error(raw_reply, case):
-    """Each refusal is http.client's own error under a NetworkError, from
-    one request: a declared length of 100 GB, 3 bytes sent, is read piece
-    by piece (before, http.client reserved it all and raised MemoryError)."""
-    reply, error = _REFUSED_REPLIES[case]
+    """Each refusal is http1's error under a NetworkError, from one
+    request: a declared length of 100 GB, 3 bytes sent, is read piece by
+    piece (http.client reserved it all and raised MemoryError)."""
+    reply, cause, text = _REFUSED_REPLIES[case]
     port = raw_reply(reply)
     with pytest.raises(NetworkError) as info:
         http_get("127.0.0.1", port, "/x?wsdl", timeout=5)
-    assert type(info.value.__cause__) is error
+    assert type(info.value.__cause__) is cause and str(info.value.__cause__) == text
 
 
 def test_a_reply_sent_one_byte_at_a_time_is_read_whole(make_node, raw_reply):
@@ -334,8 +350,9 @@ def test_a_target_that_is_not_printable_ascii_is_refused_before_connecting(
     make_node, monkeypatch, path
 ):
     """A non-ASCII target raised a bare UnicodeEncodeError before; now every
-    target that is not printable ASCII without spaces is an InvalidURL
-    under a NetworkError, and no connection is opened."""
+    target that is not printable ASCII without spaces is an http1.Malformed
+    (it was an http.client.InvalidURL) under a NetworkError, and no
+    connection is opened."""
     node = make_node()
 
     def no_connect(self):
@@ -349,7 +366,10 @@ def test_a_target_that_is_not_printable_ascii_is_refused_before_connecting(
     ):
         with pytest.raises(NetworkError) as info:
             request()
-        assert type(info.value.__cause__) is http.client.InvalidURL
+        assert type(info.value.__cause__) is Malformed
+        assert str(info.value.__cause__) == (
+            f"a request target is printable ASCII without spaces: {path!r}"
+        )
 
 
 def test_each_request_opens_and_is_accepted_on_one_connection(make_node, monkeypatch):
@@ -410,6 +430,18 @@ def test_reference_to_an_unusable_host_is_a_network_error(make_node):
         with pytest.raises(NetworkError) as info:
             request()
         assert type(info.value.__cause__) is http.client.InvalidURL
+
+
+@pytest.mark.parametrize("host", ["a..b", "a" * 70 + ".example", "\u00e9" * 70])
+def test_a_host_without_an_idna_form_is_a_network_error(make_node, host):
+    """A host with an empty or over-63-character label has no IDNA form. It
+    raised a bare UnicodeError from the request writer or from getaddrinfo;
+    now it is a NetworkError caused by that UnicodeError, before any lookup."""
+    proxy = make_node().proxy_for_ior(Ior(host, 1, 0, "INamedEntity"))
+    for request in (proxy.getName, functools.partial(http_get, host, 1, "/", timeout=5)):
+        with pytest.raises(NetworkError, match="failed: UnicodeError: ") as info:
+            request()
+        assert type(info.value.__cause__) is UnicodeError
 
 
 # ---------------------------------------------------------------------------

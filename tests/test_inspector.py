@@ -165,7 +165,15 @@ def test_a_name_no_request_line_can_carry_exits_2(bob_node, capsys):
     code, out, err = _run(capsys, f"{bob_node.host}:{bob_node.port}", "describe", "b\u00e9")
     assert (code, out) == (EXIT_NETWORK, "")
     assert err.startswith("refbus-inspect: GET ") and err.count("\n") == 1
-    assert "InvalidURL" in err
+    assert "failed: Malformed: a request target is printable ASCII" in err  # was InvalidURL
+
+
+def test_a_host_without_an_idna_form_exits_2(capsys):
+    """``a..b`` printed a UnicodeError traceback and exited 1."""
+    code, out, err = _run(capsys, "a..b:1", "list")
+    assert (code, out) == (EXIT_NETWORK, "")
+    assert err.startswith("refbus-inspect: GET a..b:1/ failed: UnicodeError: ")
+    assert err.count("\n") == 1
 
 
 def test_usage_error_exit_4(capsys):

@@ -13,6 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import refbus.node
+from refbus import http1
 from refbus import (
     BY_REFERENCE,
     BY_VALUE,
@@ -487,18 +488,37 @@ def test_expect_100_continue_is_answered_before_the_body(bob_node):
     ],
 )
 def test_a_body_length_is_one_content_length_of_ascii_digits(head, length):
-    """The head goes through the node's own header reader, so a folded line
-    is refused whatever the Python release's ``email`` parser makes of it."""
+    """The head goes through http1's own header reader, so a folded line is
+    refused whatever the Python release's ``email`` parser makes of it; a
+    POST without a Content-Length is refused too."""
     import io
 
-    def body_length():
-        return refbus.node._body_length(refbus.node._read_fields(io.BytesIO(head + b"\r\n\r\n")))
+    request = b"POST /bob HTTP/1.1\r\n%s\r\n\r\n%s" % (head, b"x" * (length or 0))
+
+    def body():
+        return http1.read_request(None, io.BytesIO(request), refbus.node.MAX_BODY_BYTES)[3]
 
     if length is not None:
-        assert body_length() == length
+        assert len(body()) == length
     else:
-        with pytest.raises(ValueError):
-            body_length()
+        with pytest.raises(http1.Malformed):
+            body()
+
+
+def test_a_declared_body_reserves_no_memory_before_it_arrives(bob_node):
+    """A POST that declares 16 MiB and sends 3 bytes made the node reserve
+    all 16 MiB while it waited; it reads the body piece by piece now."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with socket.create_connection((bob_node.host, bob_node.port), timeout=5) as sock:
+            sock.sendall(b'POST /bob HTTP/1.1\r\nHost: x\r\nContent-Length: 16777216\r\n\r\n{"m')
+            time.sleep(0.5)  # the node's thread waits for the rest of the body
+            held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 4 * 1024 * 1024
 
 
 @pytest.mark.parametrize(

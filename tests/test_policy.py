@@ -27,6 +27,23 @@ def test_class_policy_requires_exact_runtime_class():
     assert store.resolve(ParamPos(0), "IPerson", "setSpouse", None) is BY_VALUE
 
 
+def test_no_class_name_looks_up_no_class_key():
+    """("classes", None) can never be stored, so it is never looked up."""
+
+    class Table(dict):
+        def get(self, key, default=None):
+            looked_up.append(key)
+            return super().get(key, default)
+
+    looked_up = []
+    store = PolicyStore()
+    store.set_class_policy("Student", BY_REFERENCE)
+    store._table = Table(store._table)
+    assert store.resolve(ParamPos(0), "IPerson", "setSpouse", None) is BY_VALUE
+    assert store.resolve(RETURN, "IPerson", "getSpouse", "Student") is BY_REFERENCE
+    assert ("classes", None) not in looked_up and ("classes", "Student") in looked_up
+
+
 def test_method_policy_beats_class_policy():
     store = PolicyStore()
     store.set_class_policy("Person", BY_REFERENCE)
