@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import http.client
+import io
 import socket
 import time
 from dataclasses import dataclass
@@ -86,17 +87,46 @@ class CallOptions:
 DEFAULT_OPTIONS = CallOptions()
 
 
+def _time_left(deadline: float) -> float:
+    """Seconds left before ``deadline``, for the next socket operation;
+    socket.timeout when none are left."""
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise socket.timeout("the request's deadline passed")
+    return left
+
+
+class _DeadlineReader(io.RawIOBase):
+    """A socket's bytes, each recv given only the time left before a
+    deadline, so a reply trickled byte by byte cannot outlive it."""
+
+    def __init__(self, sock: socket.socket, deadline: float):
+        self._sock = sock
+        self._deadline = deadline
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        self._sock.settimeout(_time_left(self._deadline))
+        return self._sock.recv_into(buffer)
+
+
 def _http_request(host, port, method, path, body: bytes | None, timeout: float):
     """(status, body) of one request on a fresh connection. http.client
-    only opens it; the request goes out in one write. Nothing is retried;
-    every refusal, a host with no IDNA form included, is a NetworkError."""
+    only opens it; the request goes out in one write. ``timeout`` bounds
+    the whole request: the connect, the send and every recv get only the
+    time that is left. Nothing is retried; every refusal, a host with no
+    IDNA form included, is a NetworkError."""
+    deadline = time.monotonic() + timeout
     try:
         conn = http.client.HTTPConnection(host, port, timeout=timeout)
         try:
             request = http1.request_bytes(method, path, conn.host, conn.port, body)
             conn.connect()
+            conn.sock.settimeout(_time_left(deadline))
             conn.sock.sendall(request)
-            with conn.sock.makefile("rb") as rfile:
+            with io.BufferedReader(_DeadlineReader(conn.sock, deadline)) as rfile:
                 return http1.read_reply(rfile)
         finally:
             conn.close()

@@ -18,6 +18,8 @@ from http import HTTPStatus
 # at most MAX_HEADERS header lines, as http.server and http.client bound them.
 MAX_LINE = 65536
 MAX_HEADERS = 100
+# A body, of a request or of a reply, is at most this many bytes.
+MAX_BODY_BYTES = 16 * 1024 * 1024
 # A body is read in pieces of at most this many bytes, so a declared
 # Content-Length reserves no memory that the peer has not sent.
 _PIECE = 1 << 20
@@ -134,15 +136,28 @@ def read_request(sock, rfile, cap: int) -> tuple[str, str, bool, bytes]:
     return method.decode("ascii"), target.decode("latin-1"), keep_open, body
 
 
+def _read_to_close(rfile) -> bytes:
+    """Every byte up to the close, read in pieces of at most _PIECE;
+    Malformed once they pass MAX_BODY_BYTES."""
+    pieces, size = [], 0
+    while piece := rfile.read(_PIECE):
+        size += len(piece)
+        if size > MAX_BODY_BYTES:
+            raise Malformed(f"a body without a Content-Length runs past {MAX_BODY_BYTES} bytes")
+        pieces.append(piece)
+    return b"".join(pieces)
+
+
 def read_reply(rfile) -> tuple[int, bytes]:
-    """(status, body) of one reply. The body is Content-Length bytes, or
-    runs to the close without one."""
+    """(status, body) of one reply, whose body is at most MAX_BODY_BYTES.
+    The body is Content-Length bytes, or runs to the close without one."""
     line = _read_line(rfile)
     status = _STATUS_LINE.fullmatch(line)
     if status is None:
         raise Malformed(f"a status line is HTTP/1.x NNN, got {line!r}")
-    length = body_length(_read_fields(rfile), 10**18 - 1)  # 18 digits: under an exabyte
-    return int(status[1]), rfile.read() if length is None else _read_body(rfile, length)
+    length = body_length(_read_fields(rfile), MAX_BODY_BYTES)
+    body = _read_to_close(rfile) if length is None else _read_body(rfile, length)
+    return int(status[1]), body
 
 
 def request_bytes(method: str, target: str, host: str, port: int, body: bytes | None) -> bytes:

@@ -33,6 +33,7 @@ from urllib.parse import parse_qs
 
 from . import client as _client
 from . import http1
+from .http1 import MAX_BODY_BYTES
 from .component import ComponentHandle, snapshot_instance
 from .errors import (
     FaultCode,
@@ -78,7 +79,6 @@ from .wire import CallEnvelope, ReplyEnvelope, decode_reply, encode_call, encode
 from .wire import call_shape, loads, parse_args, read_call, receive, send_result
 from .wire import decode_call  # unused here; bench/tracer.py patches refbus.node.decode_call
 
-MAX_BODY_BYTES = 16 * 1024 * 1024
 # Seconds a connection may send nothing before the node closes it and its
 # thread ends: between requests, or partway through one.
 IDLE_TIMEOUT_S = 30.0

@@ -7,23 +7,22 @@ inputs yield byte-identical text) and decoding is strict: unknown tags,
 missing or extra keys, out-of-range numbers, and non-finite floats all
 signal BAD_ENVELOPE.
 
-Values take one of two paths, with byte-identical text. The V* path
-(``_value_obj``, ``_parse_value``) converts between JSON and
-``values.Value``. The typed path walks the declared type once: ``decode``
-inbound from parsed JSON, ``_encode`` outbound straight to JSON text, which
-``send_call`` and ``send_result`` join around the envelope. It writes and
-reads scalars and lists itself and hands every other position to the V*
-path: ``_encode`` to ``marshal``, ``decode`` by declining, after which
-``receive`` parses, checks and materializes that position, faults
-included.
+Outbound, ``_encode`` walks the declared type once, straight to JSON text,
+which ``send_call`` and ``send_result`` join around the envelope. It writes
+scalars and the frames of lists itself and hands every other position to
+``marshal``, whose ``values.Value`` the V* path (``_value_obj``) writes.
+Both give byte-identical text.
 
-``read_call`` and ``read_reply`` go one step further for the one argument
-of a call, or the result of a reply, declared ``readable`` (a list of i64,
-f64 or bool): where the body is the canonical text ``_encode`` writes,
-they read the payloads straight from it with one ``json.loads`` of a bare
-array, and build no element object. Anything else they decline before
-parsing, or after, where a payload does not fit; ``loads`` and the paths
-above then answer the body, faults included.
+Inbound, a value takes one of two paths. ``read_call`` and ``read_reply``
+read the one argument of a call, or the result of a reply, declared
+``readable`` (a list of i64, f64 or bool): where the body is the canonical
+text ``_encode`` writes, they read the payloads straight from it with one
+``json.loads`` of a bare array, and build no element object. Anything else
+they decline, before parsing or after, where a payload does not fit.
+Every other position takes the V* path in ``receive``: ``_parse_value``
+parses it into a ``values.Value``, ``type_check`` checks it against the
+declared type, and the caller's ``materialize`` turns it into a Python
+value. That path answers every fault.
 """
 
 from __future__ import annotations
@@ -292,11 +291,6 @@ def reply_shape(obj: Any) -> tuple[Any, Fault | None]:
 Marshal = Callable[[Any, TypeRef], Value]
 
 
-class _Unfit(Exception):
-    """``decode`` declines a value; the V* path must answer it."""
-
-
-_MISSING = object()  # stands for an absent "v" key; its type fits no scalar
 # The JSON text of a payload of exactly the Python type, as _dumps writes it
 _WRITE = {
     Prim.BOOL: {False: "false", True: "true"}.__getitem__,
@@ -304,10 +298,10 @@ _WRITE = {
     Prim.F64: float.__repr__,  # the bulk rule admits only finite floats
     Prim.STR: encode_basestring,  # what ensure_ascii=False uses
 }
-# Prim -> (wire tag, exact Python type, bulk rule, writer, text before the
-# payload), one lookup per position
+# Prim -> (exact Python type, bulk rule, writer, text before the payload),
+# one lookup per position
 _SCALAR = {
-    prim: (prim.value, py_type, rule, _WRITE[prim], f'{{"t":"{prim.value}","v":')
+    prim: (py_type, rule, _WRITE[prim], f'{{"t":"{prim.value}","v":')
     for prim, _, py_type, rule in SCALARS
 }
 
@@ -317,59 +311,18 @@ _LIST_HEAD = '{"t":"list","v":['
 
 
 def _fits(xs, row) -> bool:
-    return not xs or (set(map(type, xs)) == {row[1]} and row[2](xs))
+    return not xs or (set(map(type, xs)) == {row[0]} and row[1](xs))
 
 
-def _accept(payloads: list, row) -> list:
-    """Python values of the "v" payloads of values tagged ``row[0]``."""
-    if row[1] is float and int in set(map(type, payloads)):
+def _accept(payloads: list, row) -> list | None:
+    """Python values of the "v" payloads of a list of ``row``'s scalar;
+    None where one does not fit."""
+    if row[0] is float and int in set(map(type, payloads)):
         try:  # VFloat takes a JSON integer too
             payloads = [float(v) if type(v) is int else v for v in payloads]
         except OverflowError:
-            raise _Unfit from None
-    if not _fits(payloads, row):
-        raise _Unfit
-    return payloads
-
-
-def _payload(obj, tag: str):
-    if type(obj) is dict and len(obj) == 2 and obj.get("t") == tag:
-        payload = obj.get("v", _MISSING)
-        if payload is not _MISSING:
-            return payload
-    raise _Unfit
-
-
-def decode(obj, t: TypeRef, depth: int = 0):
-    """The Python value of parsed JSON at ``t``, inside ``depth`` lists.
-    Raises _Unfit where it declines, for the V* path to answer: at a value
-    that does not fit, at a record or an interface, and at a list nested
-    deeper than the wire allows."""
-    if type(t) is ListOf:
-        if depth == MAX_NESTING:
-            raise _Unfit
-        items = _payload(obj, "list")
-        if type(items) is not list:
-            raise _Unfit
-        row = _SCALAR.get(t.elem)
-        if row is None:  # not a list of scalars: item by item
-            elem = t.elem
-            return [decode(item, elem, depth + 1) for item in items]
-        tag = row[0]
-        payloads = [
-            item.get("v", _MISSING)
-            for item in items
-            if type(item) is dict and len(item) == 2 and item.get("t") == tag
-        ]
-        if len(payloads) != len(items):
-            raise _Unfit
-        return _accept(payloads, row)
-    row = _SCALAR.get(t)
-    if row is not None:
-        return _accept([_payload(obj, row[0])], row)[0]
-    if t is Prim.NULL and obj == {"t": "null"}:
-        return None
-    raise _Unfit  # a misfit null, a record or an interface
+            return None
+    return payloads if _fits(payloads, row) else None
 
 
 def _encode(x, t: TypeRef, marshal: Marshal) -> str:
@@ -380,8 +333,8 @@ def _encode(x, t: TypeRef, marshal: Marshal) -> str:
         if type(x) is list or type(x) is tuple:
             row = _SCALAR.get(t.elem)
             if row is not None and _fits(x, row):
-                head = row[4]
-                items = head + ("}," + head).join(map(row[3], x)) + "}" if x else ""
+                head = row[3]
+                items = head + ("}," + head).join(map(row[2], x)) + "}" if x else ""
             else:
                 elem = t.elem
                 items = ",".join([_encode(item, elem, marshal) for item in x])
@@ -389,7 +342,7 @@ def _encode(x, t: TypeRef, marshal: Marshal) -> str:
     elif x is None and t is Prim.NULL:
         return '{"t":"null"}'
     elif (row := _SCALAR.get(t)) is not None and _fits([x], row):
-        return row[4] + row[3](x) + "}"
+        return row[3] + row[2](x) + "}"
     return _dumps(_value_obj(marshal(x, t)))
 
 
@@ -398,27 +351,19 @@ def receive(
 ) -> tuple[list, list]:
     """(values, misfits) of the parsed JSON values at signature positions.
 
-    Each position runs ``decode``. Where that declines, ``_parse_value``
-    parses the position at ``path.format(i)``, so BadEnvelopeError leaves
-    at the first position that does not parse, and ``type_check`` adds
-    ``(i, mismatches)`` to misfits. Only when there are no misfits are the
-    parsed positions materialized into values.
+    ``_parse_value`` parses each position at ``path.format(i)``, so
+    BadEnvelopeError leaves at the first position that does not parse, and
+    ``type_check`` adds ``(i, mismatches)`` to misfits. Only when there are
+    no misfits are the values materialized.
     """
-    values, parsed, misfits = [], [], []
+    values, misfits = [], []
     for i, (obj, t) in enumerate(zip(objs, types)):
-        try:
-            values.append(decode(obj, t))
-            continue
-        except _Unfit:
-            pass
         v = _parse_value(obj, path.format(i))
         if mismatches := type_check(v, t, env):
             misfits.append((i, mismatches))
-        parsed.append(i)
         values.append(v)
     if not misfits:
-        for i in parsed:
-            values[i] = materialize(values[i])
+        values = [materialize(v) for v in values]
     return values, misfits
 
 
@@ -449,7 +394,7 @@ def _read_list(text: str, start: int, end: int, t: ListOf) -> list | None:
     if start == end:
         return []
     row = _SCALAR[t.elem]
-    head = row[4]
+    head = row[3]
     if not (text.startswith(head, start, end) and text[end - 1] == "}"):
         return None
     sep = "}," + head
@@ -460,7 +405,7 @@ def _read_list(text: str, start: int, end: int, t: ListOf) -> list | None:
         # each replaced separator left len(sep) - 1 characters fewer
         if len(payloads) == (len(pieces) - len(joined)) // (len(sep) - 1) + 1:
             return _accept(payloads, row)
-    except (ValueError, RecursionError, _Unfit):
+    except (ValueError, RecursionError):
         pass
     return None
 
@@ -476,8 +421,9 @@ def read_call(body: bytes, sig_of: Callable[[str], Any]) -> tuple[str, Any, list
     """(method, signature, [argument]) of a call whose one parameter is
     ``readable``, read straight from the body text; ``sig_of(method)`` is
     the signature, with its ``params``, or None. None where the reader
-    declines: ``loads``, ``call_shape`` and ``receive`` then answer the
-    body, so only a misfit or malformed list body is parsed twice."""
+    declines, a body that is not the canonical text included: ``loads``,
+    ``call_shape`` and ``receive`` then answer the body on the V* path, so
+    only a misfit or malformed list body is parsed twice."""
     if not (body.startswith(b'{"method":"') and body.endswith(b"]}]}")):
         return None
     try:
@@ -496,9 +442,10 @@ def read_call(body: bytes, sig_of: Callable[[str], Any]) -> tuple[str, Any, list
 
 def read_reply(data: bytes, t: TypeRef) -> list | None:
     """The result of a reply at a ``readable`` type ``t``, read straight
-    from the body text. None where the reader declines, a fault included:
-    ``loads``, ``reply_shape`` and ``receive`` then answer the body, so
-    only a misfit or malformed list reply is parsed twice."""
+    from the body text. None where the reader declines, a fault or a body
+    that is not the canonical text included: ``loads``, ``reply_shape`` and
+    ``receive`` then answer the body on the V* path, so only a misfit or
+    malformed list reply is parsed twice."""
     if not (readable(t) and data.startswith(b'{"result":') and data.endswith(b"]}}")):
         return None
     try:

@@ -247,8 +247,9 @@ def raw_reply():
     socket may have had a second connection: calls are at-most-once."""
     listeners, threads = [], []
 
-    def serve(reply: bytes, *, bytewise: bool = False) -> int:
-        """``bytewise`` sends the reply one byte per write, a millisecond apart."""
+    def serve(reply: bytes, *, bytewise: bool = False, delay: float = 0.001) -> int:
+        """``bytewise`` sends the reply one byte per write, ``delay`` seconds
+        apart."""
         listener = socket.create_server(("127.0.0.1", 0))
         listener.settimeout(5)
 
@@ -262,7 +263,7 @@ def raw_reply():
                     if bytewise:
                         for i in range(len(reply)):
                             conn.sendall(reply[i : i + 1])
-                            time.sleep(0.001)
+                            time.sleep(delay)
                     else:
                         conn.sendall(reply)
                     conn.shutdown(socket.SHUT_WR)

@@ -313,8 +313,8 @@ _REFUSED_REPLIES = {
         Truncated, "the connection ended inside a head",  # was http.client.IncompleteRead
     ),
     "a huge Content-Length": (
-        b"HTTP/1.1 200 OK\r\nContent-Length: 100000000000\r\n\r\nabc",
-        Truncated, "the connection ended 99999999997 bytes short of the body",  # was IncompleteRead
+        b"HTTP/1.1 200 OK\r\nContent-Length: 16777216\r\n\r\nabc",
+        Truncated, "the connection ended 16777213 bytes short of the body",  # was IncompleteRead
     ),
 }
 
@@ -322,8 +322,8 @@ _REFUSED_REPLIES = {
 @pytest.mark.parametrize("case", sorted(_REFUSED_REPLIES))
 def test_a_refused_reply_is_a_network_error(raw_reply, case):
     """Each refusal is http1's error under a NetworkError, from one
-    request: a declared length of 100 GB, 3 bytes sent, is read piece by
-    piece (http.client reserved it all and raised MemoryError)."""
+    request: a declared length of 16 MiB, 3 bytes sent, is read piece by
+    piece."""
     reply, cause, text = _REFUSED_REPLIES[case]
     port = raw_reply(reply)
     with pytest.raises(NetworkError) as info:
@@ -338,6 +338,18 @@ def test_a_reply_sent_one_byte_at_a_time_is_read_whole(make_node, raw_reply):
     )
     proxy = make_node().proxy_for_ior(Ior("127.0.0.1", port, 0, "INamedEntity"))
     assert proxy.getName() == "Bobby Jones"
+
+
+def test_a_timeout_bounds_the_whole_reply(raw_reply):
+    """A reply trickled one byte every 0.1 s, about 4.5 s in all, ends
+    with CallTimeout at the 1.0 s timeout, though no one recv waits that
+    long."""
+    reply = b'HTTP/1.1 200 OK\r\nContent-Length: 7\r\n\r\n{"a":1}'
+    port = raw_reply(reply, bytewise=True, delay=0.1)
+    start = time.monotonic()
+    with pytest.raises(CallTimeout):
+        http_get("127.0.0.1", port, "/x?wsdl", timeout=1.0)
+    assert time.monotonic() - start < 1.5
 
 
 def test_a_reply_without_content_length_is_read_to_close(raw_reply):

@@ -5,7 +5,8 @@ inbound; Node.marshal_outbound and wire._value_obj outbound. For seeded
 random types, well-typed values and mutated ones, both paths must give
 equal results, byte-identical text and the same faults with the same
 messages. Well-typed values of a type that holds no record or interface
-must take codec.decode, so a silent fallback cannot hide a slow codec.
+must be written by the typed encoder, so a silent fallback cannot hide a
+slow codec.
 """
 
 from __future__ import annotations
@@ -197,15 +198,10 @@ def _scalars_only(t) -> bool:
     return _scalars_only(t.elem) if isinstance(t, ListOf) else isinstance(t, Prim)
 
 
-def _decline(obj, t, depth=0):
-    raise codec._Unfit
-
-
 def _value_path_only(m):
     """Patch the typed path out, so that every position takes the V* path:
-    ``decode`` declines, ``_encode`` hands the whole position to marshal,
-    and the text readers decline."""
-    m.setattr(codec, "decode", _decline)
+    ``_encode`` hands the whole position to marshal, and the text readers
+    decline."""
     m.setattr(codec, "_encode", lambda x, t, marshal: codec._dumps(codec._value_obj(marshal(x, t))))
     m.setattr(codec, "readable", lambda t: False)
 
@@ -298,10 +294,6 @@ def test_compiled_codec_matches_the_value_path(world, monkeypatch):
                 same(fast[1], oracle[1]) if fast[0] == "ok" else fast == oracle
             ), (t, obj)
             seen[f"{kind} {'ok' if fast_got else 'fault'}"] += 1
-            # at a type of scalars and lists only, codec.decode takes
-            # whatever the V* path takes; it raises where it declines
-            if scalars_only and (oracle_got or oracle[0] == "ok"):
-                codec.decode(obj, t)
 
     # both outcomes occur often enough for the comparison to mean something
     assert seen["well-typed ok"] == 160
@@ -563,6 +555,108 @@ def _deploy_taker(node, name, params, returns):
     return handle.instance, node.proxy_for_ior(node.deploy_anonymous(iface, handle))
 
 
+# (type, value text, outcome) of a scalar or null as the one argument and as
+# the result. An accepted value's outcome is (the Python value the component
+# and the caller get, the text the node echoes it as); a refused one's is
+# (error class, its text after the position's path).
+_SCALAR_INBOUND = [
+    (Prim.I64, '{"t":"i64","v":7}', (7, '{"t":"i64","v":7}')),
+    (Prim.I64, '{"t":"i64","v":true}', (BadEnvelopeError, "VInt requires an int, got bool")),
+    (
+        Prim.I64, '{"t":"i64","v":9223372036854775808}',
+        (BadEnvelopeError, "VInt out of 64-bit signed range: 9223372036854775808"),
+    ),
+    (
+        Prim.I64, '{"t":"i64"}',
+        (BadEnvelopeError, "i64 value must have exactly keys ['t', 'v'], got ['t']"),
+    ),
+    (
+        Prim.I64, '{"t":"i64","v":7,"x":1}',
+        (BadEnvelopeError, "i64 value must have exactly keys ['t', 'v'], got ['t', 'v', 'x']"),
+    ),
+    (Prim.I64, '{"t":"str","v":"7"}', (TypeMismatchError, "expected i64, got str")),
+    (Prim.I64, '{"t":"null"}', (TypeMismatchError, "expected i64, got null")),
+    (Prim.F64, '{"t":"f64","v":2.5}', (2.5, '{"t":"f64","v":2.5}')),
+    (Prim.F64, '{"t":"f64","v":3}', (3.0, '{"t":"f64","v":3.0}')),
+    (
+        Prim.F64, '{"t":"f64","v":1e400}',
+        (BadEnvelopeError, "VFloat must be finite (no NaN or infinity)"),
+    ),
+    (
+        Prim.F64, '{"t":"f64"}',
+        (BadEnvelopeError, "f64 value must have exactly keys ['t', 'v'], got ['t']"),
+    ),
+    (
+        Prim.F64, '{"t":"f64","v":2.5,"x":1}',
+        (BadEnvelopeError, "f64 value must have exactly keys ['t', 'v'], got ['t', 'v', 'x']"),
+    ),
+    (Prim.F64, '{"t":"i64","v":3}', (TypeMismatchError, "expected f64, got i64")),
+    (Prim.F64, '{"t":"null"}', (TypeMismatchError, "expected f64, got null")),
+    (Prim.BOOL, '{"t":"bool","v":true}', (True, '{"t":"bool","v":true}')),
+    (
+        Prim.BOOL, '{"t":"bool"}',
+        (BadEnvelopeError, "bool value must have exactly keys ['t', 'v'], got ['t']"),
+    ),
+    (
+        Prim.BOOL, '{"t":"bool","v":true,"x":1}',
+        (BadEnvelopeError, "bool value must have exactly keys ['t', 'v'], got ['t', 'v', 'x']"),
+    ),
+    (Prim.BOOL, '{"t":"i64","v":1}', (TypeMismatchError, "expected bool, got i64")),
+    (Prim.BOOL, '{"t":"null"}', (TypeMismatchError, "expected bool, got null")),
+    (Prim.STR, '{"t":"str","v":"é"}', ("é", '{"t":"str","v":"é"}')),
+    (
+        Prim.STR, r'{"t":"str","v":"\ud800"}',
+        (BadEnvelopeError, "VStr must be valid Unicode text (no lone surrogates)"),
+    ),
+    (
+        Prim.STR, '{"t":"str"}',
+        (BadEnvelopeError, "str value must have exactly keys ['t', 'v'], got ['t']"),
+    ),
+    (
+        Prim.STR, '{"t":"str","v":"a","x":1}',
+        (BadEnvelopeError, "str value must have exactly keys ['t', 'v'], got ['t', 'v', 'x']"),
+    ),
+    (Prim.STR, '{"t":"bool","v":false}', (TypeMismatchError, "expected str, got bool")),
+    (Prim.STR, '{"t":"null"}', (TypeMismatchError, "expected str, got null")),
+    (Prim.NULL, '{"t":"null"}', (None, '{"t":"null"}')),
+    (
+        Prim.NULL, '{"t":"null","v":null}',
+        (BadEnvelopeError, "null value must have exactly keys ['t'], got ['t', 'v']"),
+    ),
+    (Prim.NULL, '{"t":"bool","v":false}', (TypeMismatchError, "expected null, got bool")),
+]
+
+
+def test_scalar_arguments_and_results_keep_their_outcomes(world, monkeypatch):
+    """For each scalar or null as the one argument and as the result: the
+    node's exact reply, the Python value the component gets, type and bits
+    included, and the caller's exact result or error. A refused value
+    reaches no component."""
+    node, _, _ = world
+    sent = {Prim.I64: 7, Prim.F64: 2.5, Prim.BOOL: True, Prim.STR: "é", Prim.NULL: None}
+    takers = {t: _deploy_taker(node, f"scalar_{t.value}", (t,), t) for t in sent}
+    for t, value, (expected, detail) in _SCALAR_INBOUND:
+        taker, proxy = takers[t]
+        taker.received.clear()
+        body = '{"method":"take","args":[' + value + "]}"
+        _, text = node.handle_request("POST", f"/scalar_{t.value}", "", body.encode())
+        reply = ('{"result":' + value + "}").encode()
+        monkeypatch.setattr(refbus.client, "post_call", lambda *args: reply)
+        got = outcome(lambda: proxy.take(sent[t]))
+        if expected is BadEnvelopeError:
+            assert text == _fault("BAD_ENVELOPE", "$.args[0]: " + detail), value
+            assert got == ("raised", expected, "$.result: " + detail), value
+        elif expected is TypeMismatchError:
+            assert text == _fault("TYPE_MISMATCH", "arg 0 $: " + detail), value
+            assert got == ("raised", expected, "result: $: " + detail), value
+        else:
+            assert text == '{"result":' + detail + "}", value
+            assert got[0] == "ok" and same(got[1], expected), value
+        received = [] if isinstance(expected, type) else [expected]
+        assert len(taker.received) == len(received), value
+        assert all(map(same, taker.received, received)), value
+
+
 def test_misfits_fault_before_anything_materializes(world):
     """A forged local reference would fault UNKNOWN_SERVICE when it
     materializes; a misfit in a later argument answers first."""
@@ -595,8 +689,8 @@ def test_deep_nesting_at_a_position_is_bad_envelope(world, monkeypatch, declared
 
 @pytest.mark.parametrize("depth", [100, 101])
 def test_nesting_limit_holds_at_a_deeply_declared_type(world, depth):
-    """``decode`` declines a list nested deeper than a value may nest, so
-    values of a deeply declared type meet the same limit as any other."""
+    """Values of a deeply declared type meet the same nesting limit as any
+    other."""
     node, _, _ = world
     declared = Prim.I64
     for _ in range(depth):
@@ -606,15 +700,9 @@ def test_nesting_limit_holds_at_a_deeply_declared_type(world, depth):
     body = '{"method":"take","args":[' + value + "]}"
     status, text = node.handle_request("POST", f"/deep{depth}", "", body.encode())
     if depth == 100:
-        expected = []
-        for _ in range(depth - 1):
-            expected = [expected]
-        assert codec.decode(json.loads(value), declared) == expected
         assert text == '{"result":' + value + "}"
         assert len(taker.received) == 1
     else:
-        with pytest.raises(codec._Unfit):
-            codec.decode(json.loads(value), declared)
         assert (status, text) == (200, _fault("BAD_ENVELOPE", "value nesting too deep"))
         assert taker.received == []
 
@@ -700,7 +788,8 @@ def test_hot_path_builds_no_values(make_node, value_counts, monkeypatch):
     items = [{"t": "i64", "v": v} for v in values]
 
     def echo_body():
-        return json.dumps({"method": "echo", "args": [{"t": "list", "v": items}]}).encode("utf-8")
+        call = {"method": "echo", "args": [{"t": "list", "v": items}]}
+        return json.dumps(call, separators=(",", ":")).encode("utf-8")
 
     monkeypatch.setattr(codec, "_dumps", counted_dumps)
     _, text = node.handle_request("POST", "/echo", "", echo_body())

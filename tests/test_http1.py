@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import json
 import socket
+import tracemalloc
 
 import pytest
 
 from refbus import NetworkError
 from refbus.client import http_get
-from refbus.http1 import MAX_HEADERS, MAX_LINE, Malformed, body_length
+from refbus.http1 import MAX_BODY_BYTES, MAX_HEADERS, MAX_LINE, Malformed, body_length
 
 # Header blocks, between the start line and the empty line, that both ends
 # refuse, with the text of the refusal. The client accepted the first three
@@ -78,13 +79,14 @@ def test_the_head_limits_are_the_same_for_a_reply(raw_reply):
     [
         (b"16777216", 16777216, 16777216),
         (b"16777217", 16777216, None),
-        (b"16777217", 10**18 - 1, 16777217),
-        (b"0" * 5000 + b"999999999999999999", 10**18 - 1, 10**18 - 1),
-        (b"1000000000000000000", 10**18 - 1, None),
+        (b"0" * 5000 + b"16777216", 16777216, 16777216),
+        (b"1000000000000000000", 16777216, None),
     ],
 )
 def test_the_ends_differ_only_in_the_cap(value, cap, length):
-    """The node caps a body at MAX_BODY_BYTES; the client at 18 digits."""
+    """One Content-Length rule, whose only parameter is the cap; both ends
+    pass MAX_BODY_BYTES."""
+    assert MAX_BODY_BYTES == 16777216
     fields = {b"content-length": [value]}
     if length is None:
         with pytest.raises(Malformed, match="^Content-Length out of bounds$"):
@@ -96,4 +98,33 @@ def test_the_ends_differ_only_in_the_cap(value, cap, length):
 def test_a_head_without_content_length_declares_no_length():
     """None: the node refuses such a POST, and the client reads the reply
     to the close."""
-    assert body_length({b"host": [b" x"]}, 10**18 - 1) is None
+    assert body_length({b"host": [b" x"]}, MAX_BODY_BYTES) is None
+
+
+@pytest.mark.parametrize(
+    "length, text",
+    [
+        (b"Content-Length: 16777217\r\n", "Content-Length out of bounds"),
+        (b"", "a body without a Content-Length runs past 16777216 bytes"),
+    ],
+    ids=["content-length", "to-close"],
+)
+def test_a_reply_over_the_cap_is_refused(raw_reply, length, text):
+    port = raw_reply(b"HTTP/1.1 200 OK\r\n%s\r\n%s" % (length, b"x" * (MAX_BODY_BYTES + 1)))
+    with pytest.raises(NetworkError, match="failed: Malformed: ") as info:
+        http_get("127.0.0.1", port, "/x?wsdl", timeout=5)
+    assert type(info.value.__cause__) is Malformed and str(info.value.__cause__) == text
+
+
+def test_a_reply_read_to_the_close_holds_no_more_than_the_cap(raw_reply):
+    """A 64 MiB reply without a Content-Length is refused once it passes
+    the cap, before the client holds all of it."""
+    port = raw_reply(b"HTTP/1.1 200 OK\r\n\r\n" + b"x" * (64 << 20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(NetworkError):
+            http_get("127.0.0.1", port, "/x?wsdl", timeout=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 << 20

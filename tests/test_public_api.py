@@ -33,7 +33,7 @@ SUBMODULE_ONLY = {
     "refbus.wire": [
         "CallEnvelope", "Fault", "ReplyEnvelope", "encode_call", "encode_reply",
         "encode_value", "decode_call", "decode_reply", "decode_value", "loads",
-        "call_shape", "reply_shape", "parse_args", "decode", "receive",
+        "call_shape", "reply_shape", "parse_args", "receive",
         "send_call", "send_result", "readable", "read_call", "read_reply",
     ],
     "refbus.interfaces": ["ClosureViolation", "check_closure", "check_compat", "describe"],
