@@ -77,11 +77,11 @@ def _tokens(fields: dict[bytes, list[bytes]], name: bytes) -> set[bytes]:
     return {token.strip(b" \t").lower() for value in values for token in value.split(b",")}
 
 
-def body_length(fields: dict[bytes, list[bytes]], cap: int) -> int | None:
+def body_length(fields: dict[bytes, list[bytes]]) -> int | None:
     """The body length a head declares, None without a Content-Length.
     RFC 7230 §3.3.2-3.3.3 allow one Content-Length of ASCII digits; one
-    above ``cap``, any other Content-Length and any Transfer-Encoding raise
-    Malformed."""
+    above MAX_BODY_BYTES, any other Content-Length and any
+    Transfer-Encoding raise Malformed."""
     if b"transfer-encoding" in fields:
         raise Malformed("Transfer-Encoding is not supported")
     values = fields.get(b"content-length")
@@ -91,7 +91,7 @@ def body_length(fields: dict[bytes, list[bytes]], cap: int) -> int | None:
     if not text.isdigit():  # bytes.isdigit: ASCII digits only
         raise Malformed("invalid Content-Length")
     digits = text.lstrip(b"0") or b"0"  # int() has a digit limit; zeros may pad
-    if len(digits) > len(str(cap)) or int(digits) > cap:
+    if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
         raise Malformed("Content-Length out of bounds")
     return int(digits)
 
@@ -108,9 +108,9 @@ def _read_body(rfile, length: int) -> bytes:
     return b"".join(pieces)
 
 
-def read_request(sock, rfile, cap: int) -> tuple[str, str, bool, bytes]:
+def read_request(sock, rfile) -> tuple[str, str, bool, bytes]:
     """(method, target, keep the connection open, body) of one request,
-    whose body is at most ``cap`` bytes. Answers ``Expect: 100-continue``
+    whose body is at most MAX_BODY_BYTES. Answers ``Expect: 100-continue``
     on ``sock`` before reading the body."""
     line = _read_line(rfile)
     if line in (b"\r\n", b"\n"):  # RFC 9112 §2.2: one may precede a request
@@ -124,13 +124,13 @@ def read_request(sock, rfile, cap: int) -> tuple[str, str, bool, bytes]:
     keep_open = not http10 and b"close" not in _tokens(fields, b"connection")
     body = b""
     if method == b"POST":
-        length = body_length(fields, cap)
+        length = body_length(fields)
         if length is None:
             raise Malformed("a POST request needs a Content-Length")
         if not http10 and b"100-continue" in _tokens(fields, b"expect"):
             sock.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
         body = _read_body(rfile, length)
-    elif method == b"GET" and body_length(fields, cap):
+    elif method == b"GET" and body_length(fields):
         # An unread body would be parsed as the next request.
         raise Malformed("a GET request must not have a body")
     return method.decode("ascii"), target.decode("latin-1"), keep_open, body
@@ -155,7 +155,7 @@ def read_reply(rfile) -> tuple[int, bytes]:
     status = _STATUS_LINE.fullmatch(line)
     if status is None:
         raise Malformed(f"a status line is HTTP/1.x NNN, got {line!r}")
-    length = body_length(_read_fields(rfile), MAX_BODY_BYTES)
+    length = body_length(_read_fields(rfile))
     body = _read_to_close(rfile) if length is None else _read_body(rfile, length)
     return int(status[1]), body
 

@@ -33,7 +33,6 @@ from urllib.parse import parse_qs
 
 from . import client as _client
 from . import http1
-from .http1 import MAX_BODY_BYTES
 from .component import ComponentHandle, snapshot_instance
 from .errors import (
     FaultCode,
@@ -494,7 +493,7 @@ class _Handler(socketserver.BaseRequestHandler):
     def _answer(self, sock: socket.socket, rfile) -> bool:
         """Read and answer one request; False when the connection closes."""
         try:
-            method, target, keep_open, body = http1.read_request(sock, rfile, MAX_BODY_BYTES)
+            method, target, keep_open, body = http1.read_request(sock, rfile)
         except ValueError as exc:
             http1.write_reply(sock, 400, json.dumps({"error": str(exc)}, separators=(",", ":")), False)
             return False

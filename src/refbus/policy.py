@@ -6,8 +6,12 @@ anything else raises TypeError. Policies attach at four stored scopes
 (class, method, parameter, return value) plus per-call overrides, and
 resolution takes the first layer, in this order, that holds a policy:
 
-    per-call position > per-call whole call > stored param/return
+    per-call param > per-call whole call > stored param/return
     > stored method > stored class > system default (BY_VALUE)
+
+A per-call override governs only the arguments of its call: the serving
+node marshals the result under its own stored policies, so a return
+position has no per-call layers.
 
 The stored scopes share one table keyed by ``(scope, names...)``. Class
 policies key on the component's runtime class name; method, param, and
@@ -62,11 +66,11 @@ Position = Union[ParamPos, ReturnPos]
 
 @dataclass(frozen=True)
 class CallOverride:
-    """Per-invocation policy overrides; applies to exactly one call.
-    ``per_param`` is kept as a read-only copy, so the checks made here hold."""
+    """Per-invocation policy overrides for the arguments of exactly one
+    call. ``per_param`` is kept as a read-only copy, so the checks made
+    here hold."""
 
     per_param: Mapping[int, TransmissionPolicy] = field(default_factory=dict)
-    for_return: TransmissionPolicy | None = None
     whole_call: TransmissionPolicy | None = None
 
     def __post_init__(self):
@@ -74,9 +78,8 @@ class CallOverride:
         for index, policy in self.per_param.items():
             ParamPos(index)
             _check_policy(policy)
-        for policy in (self.for_return, self.whole_call):
-            if policy is not None:
-                _check_policy(policy)
+        if self.whole_call is not None:
+            _check_policy(self.whole_call)
 
 
 # The stored scopes, in dump() order, and how dump() spells their keys.
@@ -124,16 +127,17 @@ class PolicyStore:
         runtime_class_name: str | None = None,
         override: CallOverride | None = None,
     ) -> TransmissionPolicy:
-        """Effective policy for one transmitted position; total and deterministic."""
+        """Effective policy for one transmitted position; total and
+        deterministic. ``override`` applies only at a ParamPos."""
+        per_call = None
         if isinstance(position, ParamPos):
-            per_call = override.per_param.get(position.index) if override else None
+            if override:
+                per_call = override.per_param.get(position.index) or override.whole_call
             stored = ("params", iface_name, method_name, position.index)
         else:
-            per_call = override.for_return if override else None
             stored = ("returns", iface_name, method_name)
         return (
             per_call
-            or (override.whole_call if override else None)
             or self._table.get(stored)
             or self._table.get(("methods", iface_name, method_name))
             or (runtime_class_name and self._table.get(("classes", runtime_class_name)))

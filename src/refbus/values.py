@@ -96,15 +96,6 @@ class VFloat:
         return self.value.hex() == other.value.hex()
 
 
-def is_text(s: str) -> bool:
-    """Whether a str is valid Unicode text, which UTF-8 can encode: no lone surrogates."""
-    try:
-        s.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
-
-
 @dataclass(frozen=True)
 class VStr:
     value: str
@@ -112,8 +103,10 @@ class VStr:
     def __post_init__(self):
         if not isinstance(self.value, str):
             raise ValueError(f"VStr requires a str, got {type(self.value).__name__}")
-        if not is_text(self.value):
-            raise ValueError("VStr must be valid Unicode text (no lone surrogates)")
+        try:  # valid Unicode text is what UTF-8 can encode
+            self.value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError("VStr must be valid Unicode text (no lone surrogates)") from None
 
 
 @dataclass(frozen=True)
@@ -188,20 +181,18 @@ class InterfaceType:
 
 TypeRef = Union[Prim, ListOf, RecordType, InterfaceType]
 
-# Each scalar kind once: its Prim (whose value is its wire tag), value class,
-# Python type and bulk rule. The value class's constructor decides what fits;
-# it raises ValueError. A Python int is no f64, but VFloat takes a JSON
-# integer. The bulk rule is that constructor's check over a non-empty list of
-# values of exactly the Python type, all at once.
+# Each scalar kind once: its Prim (whose value is its wire tag), value class
+# and Python type. The value class's constructor decides what fits; it raises
+# ValueError. A Python int is no f64, but VFloat takes a JSON integer.
 SCALARS = (
-    (Prim.BOOL, VBool, bool, lambda xs: True),
-    (Prim.I64, VInt, int, lambda xs: I64_MIN <= min(xs) and max(xs) <= I64_MAX),
-    (Prim.F64, VFloat, float, lambda xs: all(map(math.isfinite, xs))),
-    (Prim.STR, VStr, str, lambda xs: is_text("".join(xs))),
+    (Prim.BOOL, VBool, bool),
+    (Prim.I64, VInt, int),
+    (Prim.F64, VFloat, float),
+    (Prim.STR, VStr, str),
 )
-SCALAR_CLASS_BY_TAG = {prim.value: cls for prim, cls, *_ in SCALARS}
-SCALAR_TAG_BY_CLASS = {cls: prim.value for prim, cls, *_ in SCALARS}
-_SCALAR_BY_PY_TYPE = {py_type: (prim, cls) for prim, cls, py_type, _ in SCALARS}
+SCALAR_CLASS_BY_TAG = {prim.value: cls for prim, cls, _ in SCALARS}
+SCALAR_TAG_BY_CLASS = {cls: prim.value for prim, cls, _ in SCALARS}
+_SCALAR_BY_PY_TYPE = {py_type: (prim, cls) for prim, cls, py_type in SCALARS}
 
 
 def to_value(x, t: TypeRef, leaf: Callable[[Any, TypeRef], Value]) -> Value:
@@ -217,7 +208,7 @@ def to_value(x, t: TypeRef, leaf: Callable[[Any, TypeRef], Value]) -> Value:
         return leaf(x, t)
     row = _SCALAR_BY_PY_TYPE.get(type(x))
     if row is None:
-        for prim, cls, py_type, _ in SCALARS:
+        for prim, cls, py_type in SCALARS:
             if isinstance(x, py_type):
                 row = prim, cls
                 break

@@ -7,27 +7,31 @@ inputs yield byte-identical text) and decoding is strict: unknown tags,
 missing or extra keys, out-of-range numbers, and non-finite floats all
 signal BAD_ENVELOPE.
 
-Outbound, ``_encode`` walks the declared type once, straight to JSON text,
-which ``send_call`` and ``send_result`` join around the envelope. It writes
-scalars and the frames of lists itself and hands every other position to
-``marshal``, whose ``values.Value`` the V* path (``_value_obj``) writes.
-Both give byte-identical text.
+A value takes one of two paths each way, and one table, ``_SCALAR``,
+decides which: a position declared ``readable`` (a list of i64, f64 or
+bool) takes the text path, and every other position the V* path.
 
-Inbound, a value takes one of two paths. ``read_call`` and ``read_reply``
-read the one argument of a call, or the result of a reply, declared
-``readable`` (a list of i64, f64 or bool): where the body is the canonical
-text ``_encode`` writes, they read the payloads straight from it with one
-``json.loads`` of a bare array, and build no element object. Anything else
-they decline, before parsing or after, where a payload does not fit.
-Every other position takes the V* path in ``receive``: ``_parse_value``
-parses it into a ``values.Value``, ``type_check`` checks it against the
-declared type, and the caller's ``materialize`` turns it into a Python
-value. That path answers every fault.
+Outbound, ``_encode`` writes a list or tuple of exact payloads at a
+``readable`` type straight to the canonical text. It hands every other
+position, whole, to ``marshal``, whose ``values.Value`` ``_value_obj``
+writes with the same bytes. ``send_call`` and ``send_result`` join the
+texts around the envelope.
+
+Inbound, ``read_call`` and ``read_reply`` read the one argument of a call,
+or the result of a reply, declared ``readable``: where the body is the
+canonical text ``_encode`` writes, they read the payloads straight from it
+with one ``json.loads`` of a bare array, and build no element object.
+Anything else they decline, before parsing or after, where a payload does
+not fit. Every other position takes the V* path in ``receive``:
+``_parse_value`` parses it into a ``values.Value``, ``type_check`` checks
+it against the declared type, and the caller's ``materialize`` turns it
+into a Python value. That path answers every fault.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from json.decoder import scanstring
 from json.encoder import encode_basestring
@@ -35,10 +39,11 @@ from typing import Any, Callable, Iterable
 
 from .errors import BadEnvelopeError, FaultCode
 from .values import (
+    I64_MAX,
+    I64_MIN,
     NULL,
     SCALAR_CLASS_BY_TAG,
     SCALAR_TAG_BY_CLASS,
-    SCALARS,
     Ior,
     ListOf,
     Prim,
@@ -291,18 +296,18 @@ def reply_shape(obj: Any) -> tuple[Any, Fault | None]:
 Marshal = Callable[[Any, TypeRef], Value]
 
 
-# The JSON text of a payload of exactly the Python type, as _dumps writes it
-_WRITE = {
-    Prim.BOOL: {False: "false", True: "true"}.__getitem__,
-    Prim.I64: int.__repr__,
-    Prim.F64: float.__repr__,  # the bulk rule admits only finite floats
-    Prim.STR: encode_basestring,  # what ensure_ascii=False uses
-}
-# Prim -> (exact Python type, bulk rule, writer, text before the payload),
-# one lookup per position
+# The element types of the text path's lists, whose payloads hold no quote,
+# comma or bracket (a string can span a separator, so list<str> stays out):
+# Prim -> (exact Python type, bulk rule, writer, text before the payload).
+# The bulk rule is the value class's check over a non-empty list of values
+# of exactly the Python type, all at once; the writer writes what _dumps does.
 _SCALAR = {
-    prim: (py_type, rule, _WRITE[prim], f'{{"t":"{prim.value}","v":')
-    for prim, _, py_type, rule in SCALARS
+    prim: (py_type, rule, write, f'{{"t":"{prim.value}","v":')
+    for prim, py_type, rule, write in (
+        (Prim.BOOL, bool, lambda xs: True, {False: "false", True: "true"}.__getitem__),
+        (Prim.I64, int, lambda xs: I64_MIN <= min(xs) and max(xs) <= I64_MAX, int.__repr__),
+        (Prim.F64, float, lambda xs: all(map(math.isfinite, xs)), float.__repr__),
+    )
 }
 
 
@@ -326,23 +331,16 @@ def _accept(payloads: list, row) -> list | None:
 
 
 def _encode(x, t: TypeRef, marshal: Marshal) -> str:
-    """JSON text of ``x`` at ``t``. Scalars and the frames of lists and
-    tuples are written here; ``marshal`` answers every other position,
-    each list element at the element type."""
-    if type(t) is ListOf:
-        if type(x) is list or type(x) is tuple:
-            row = _SCALAR.get(t.elem)
-            if row is not None and _fits(x, row):
-                head = row[3]
-                items = head + ("}," + head).join(map(row[2], x)) + "}" if x else ""
-            else:
-                elem = t.elem
-                items = ",".join([_encode(item, elem, marshal) for item in x])
+    """JSON text of ``x`` at ``t``. A list or tuple of payloads of exactly
+    the element's Python type, at a ``readable`` type, is written here as
+    the text reader reads it; ``marshal`` answers every other position
+    whole, and ``_value_obj`` writes its value."""
+    if readable(t) and (type(x) is list or type(x) is tuple):
+        row = _SCALAR[t.elem]
+        if _fits(x, row):
+            head = row[3]
+            items = head + ("}," + head).join(map(row[2], x)) + "}" if x else ""
             return _LIST_HEAD + items + "]}"
-    elif x is None and t is Prim.NULL:
-        return '{"t":"null"}'
-    elif (row := _SCALAR.get(t)) is not None and _fits([x], row):
-        return row[3] + row[2](x) + "}"
     return _dumps(_value_obj(marshal(x, t)))
 
 
@@ -411,10 +409,10 @@ def _read_list(text: str, start: int, end: int, t: ListOf) -> list | None:
 
 
 def readable(t: TypeRef) -> bool:
-    """Whether ``read_call`` and ``read_reply`` read values of ``t``: a
-    list of i64, f64 or bool, whose payloads hold no quote, comma or
-    bracket. A list of str stays out: a string can span a separator."""
-    return type(t) is ListOf and t.elem in (Prim.I64, Prim.F64, Prim.BOOL)
+    """Whether values of ``t`` take the text path: a list of i64, f64 or
+    bool, which ``_encode`` writes and ``read_call`` and ``read_reply``
+    read."""
+    return type(t) is ListOf and t.elem in _SCALAR
 
 
 def read_call(body: bytes, sig_of: Callable[[str], Any]) -> tuple[str, Any, list] | None:

@@ -1,12 +1,13 @@
-"""The typed codec against the V* path it stands in for.
+"""The text path against the V* path it stands in for.
 
 The V* path is the oracle: wire._parse_value, type_check and materialize
 inbound; Node.marshal_outbound and wire._value_obj outbound. For seeded
 random types, well-typed values and mutated ones, both paths must give
 equal results, byte-identical text and the same faults with the same
-messages. Well-typed values of a type that holds no record or interface
-must be written by the typed encoder, so a silent fallback cannot hide a
-slow codec.
+messages. Well-typed values of a ``readable`` type must be written by the
+text path, so a silent fallback cannot hide a slow codec. Every other
+position takes the V* path both ways, so the pinned tables here, not the
+comparison, hold its bytes and faults in place.
 """
 
 from __future__ import annotations
@@ -193,16 +194,10 @@ def _refuse(value, declared):
     raise AssertionError(f"compiled encoder handed {value!r} at {declared} to the V* path")
 
 
-def _scalars_only(t) -> bool:
-    """Whether ``t`` holds no record or interface."""
-    return _scalars_only(t.elem) if isinstance(t, ListOf) else isinstance(t, Prim)
-
-
 def _value_path_only(m):
-    """Patch the typed path out, so that every position takes the V* path:
+    """Patch the text path out, so that every position takes the V* path:
     ``_encode`` hands the whole position to marshal, and the text readers
     decline."""
-    m.setattr(codec, "_encode", lambda x, t, marshal: codec._dumps(codec._value_obj(marshal(x, t))))
     m.setattr(codec, "readable", lambda t: False)
 
 
@@ -240,7 +235,6 @@ def test_compiled_codec_matches_the_value_path(world, monkeypatch):
 
     for n in range(160):
         t = rand_type(rng)
-        scalars_only = _scalars_only(t)
         iface = InterfaceDescriptor(f"ITake{n}", [MethodSig("take", (t,), t)])
         node.register_interface(iface)
         node.policies.set_method_policy(iface.name, "take", BY_REFERENCE)
@@ -250,6 +244,8 @@ def test_compiled_codec_matches_the_value_path(world, monkeypatch):
         path = f"/take{n}"
         proxy = node.proxy_for_ior(node.deploy_anonymous(iface, handle))
         policy = rng.choice([BY_VALUE, BY_REFERENCE])
+        # the override governs the arguments, the stored policy the result
+        node.policies.set_return_policy(iface.name, "take", policy)
         people = local_people + ([foreign] if policy is BY_REFERENCE else [])
 
         def marshal_at(position):
@@ -273,7 +269,7 @@ def test_compiled_codec_matches_the_value_path(world, monkeypatch):
             )
             assert fast == oracle, (t, x)
             seen["encode " + fast[0]] += 1
-            if scalars_only and not bad:
+            if codec.readable(t) and not bad:
                 codec.send_result(x, t, _refuse)
 
         # decoders: well-typed JSON from the V* encoder, then mutants of it
@@ -301,19 +297,92 @@ def test_compiled_codec_matches_the_value_path(world, monkeypatch):
     assert seen["encode raised"] > 80 and seen["encode ok"] > 200
 
 
-# Scalars whose JSON text is easy to get wrong, by the type they go at
+_PT_VALUE = VRecord("Pt", [("x", VInt(1)), ("label", VStr("a"))])
+_PT_TEXT = '{"t":"rec","type":"Pt","v":{"x":{"t":"i64","v":1},"label":{"t":"str","v":"a"}}}'
+# (value, declared type, outcome) of one outbound position: the exact value
+# text inside the call and reply envelopes, or the error class and its text.
+_OUTBOUND = [
+    (I64_MIN, Prim.I64, '{"t":"i64","v":-9223372036854775808}'),
+    (I64_MAX, Prim.I64, '{"t":"i64","v":9223372036854775807}'),
+    (0, Prim.I64, '{"t":"i64","v":0}'),
+    (-1, Prim.I64, '{"t":"i64","v":-1}'),
+    (2**63, Prim.I64, (TypeMismatchError, "VInt out of 64-bit signed range: 9223372036854775808")),
+    (-0.0, Prim.F64, '{"t":"f64","v":-0.0}'),
+    (5e-324, Prim.F64, '{"t":"f64","v":5e-324}'),
+    (1e16, Prim.F64, '{"t":"f64","v":1e+16}'),
+    (1e22, Prim.F64, '{"t":"f64","v":1e+22}'),
+    (3.0, Prim.F64, '{"t":"f64","v":3.0}'),
+    (0.1, Prim.F64, '{"t":"f64","v":0.1}'),
+    (1.7976931348623157e308, Prim.F64, '{"t":"f64","v":1.7976931348623157e+308}'),
+    (math.nan, Prim.F64, (TypeMismatchError, "VFloat must be finite (no NaN or infinity)")),
+    (False, Prim.BOOL, '{"t":"bool","v":false}'),
+    (True, Prim.BOOL, '{"t":"bool","v":true}'),
+    ("é", Prim.STR, '{"t":"str","v":"é"}'),
+    (" ", Prim.STR, '{"t":"str","v":" "}'),
+    ("", Prim.STR, '{"t":"str","v":""}'),
+    ('"', Prim.STR, r'{"t":"str","v":"\""}'),
+    ("\\", Prim.STR, r'{"t":"str","v":"\\"}'),
+    ("/", Prim.STR, '{"t":"str","v":"/"}'),
+    ("\x00\x1f\x7f", Prim.STR, r'{"t":"str","v":"\u0000\u001f' + '\x7f"}'),
+    ("\u2028💡", Prim.STR, '{"t":"str","v":"\u2028💡"}'),
+    (
+        "\ud800", Prim.STR,
+        (TypeMismatchError, "VStr must be valid Unicode text (no lone surrogates)"),
+    ),
+    (None, Prim.NULL, '{"t":"null"}'),
+    (None, Prim.STR, (TypeMismatchError, "None does not fit str")),
+    (1, Prim.STR, (TypeMismatchError, "int does not fit str")),
+    ([1], Prim.I64, (TypeMismatchError, "list does not fit i64")),
+    (Level.LOW, Prim.I64, '{"t":"i64","v":1}'),
+    (
+        ["a", "é", '"'], ListOf(Prim.STR),
+        r'{"t":"list","v":[{"t":"str","v":"a"},{"t":"str","v":"é"},{"t":"str","v":"\""}]}',
+    ),
+    ((), ListOf(Prim.STR), '{"t":"list","v":[]}'),
+    (
+        [[1], []], ListOf(ListOf(Prim.I64)),
+        '{"t":"list","v":[{"t":"list","v":[{"t":"i64","v":1}]},{"t":"list","v":[]}]}',
+    ),
+    (
+        [["a", "é"], []], ListOf(ListOf(Prim.STR)),
+        '{"t":"list","v":[{"t":"list","v":[{"t":"str","v":"a"},{"t":"str","v":"é"}]},'
+        '{"t":"list","v":[]}]}',
+    ),
+    ([_PT_VALUE, None], ListOf(PT), '{"t":"list","v":[' + _PT_TEXT + ',{"t":"null"}]}'),
+]
+
+
+def test_outbound_positions_keep_their_texts_and_errors(world):
+    """send_call and send_result write each value with the pinned text, or
+    raise the pinned error, whichever path writes the position."""
+    node, _, _ = world
+
+    def marshal_at(position):
+        return functools.partial(
+            node.marshal_outbound, iface_name="IPerson", method_name="take", position=position
+        )
+
+    for x, t, expected in _OUTBOUND:
+        call = outcome(
+            lambda: codec.send_call("take", (t,), [x], lambda i: marshal_at(ParamPos(i)))
+        )
+        reply = outcome(lambda: codec.send_result(x, t, marshal_at(RETURN)))
+        if isinstance(expected, str):
+            assert call == ("ok", '{"method":"take","args":[' + expected + "]}"), (x, t)
+            assert reply == ("ok", '{"result":' + expected + "}"), (x, t)
+        else:
+            assert call == reply == ("raised", *expected), (x, t)
+
+
+# Lists of scalars whose JSON text is easy to get wrong, by element type
 _EDGE_SCALARS = {
     Prim.F64: [-0.0, 5e-324, 1e16, 1e22, 3.0, 0.1, 1.7976931348623157e308],
-    Prim.STR: ['"', "\\", "/", "\x00", "\x1f", "\x7f", "\u2028", "é", "💡", ""],
     Prim.I64: [I64_MIN, I64_MAX, 0, -1],
     Prim.BOOL: [True, False],
 }
-_EDGE_CASES = (
-    [(x, t) for t, xs in _EDGE_SCALARS.items() for x in xs]
-    + [(xs, ListOf(t)) for t, xs in _EDGE_SCALARS.items()]
-    + [(x, ListOf(t)) for t in _EDGE_SCALARS for x in ([], ())]
-    + [([["a", "é"], []], ListOf(ListOf(Prim.STR))), ([], ListOf(ListOf(Prim.STR)))]
-)
+_EDGE_CASES = [(xs, ListOf(t)) for t, xs in _EDGE_SCALARS.items()] + [
+    (x, ListOf(t)) for t in _EDGE_SCALARS for x in ([], ())
+]
 
 
 def _v_star(x, t):
@@ -341,7 +410,8 @@ def test_edge_scalars_write_the_value_path_bytes():
 
 
 def test_a_scalar_subclass_falls_back_to_the_value_path():
-    """repr(Level.LOW) is not 1: only the V* path may write an IntEnum."""
+    """repr(Level.LOW) is not 1: only the V* path may write an IntEnum, so
+    a list holding one is marshalled whole, once per text."""
     marshalled = []
 
     def marshal(x, t):
@@ -350,20 +420,19 @@ def test_a_scalar_subclass_falls_back_to_the_value_path():
 
     x, t = [1, Level.LOW], ListOf(Prim.I64)
     texts = _texts("take", x, t, marshal)
-    assert marshalled == [Level.LOW, Level.LOW]
+    assert marshalled == [x, x]
     assert texts == _oracle_texts("take", x, t, _v_star)
 
 
 def test_lists_of_references_and_records_write_the_value_path_bytes(world):
-    """send_call and send_result write the frame of a list<IPerson> or
-    list<Pt> themselves and marshal each element, with the bytes of the V*
-    path. Local components deploy by reference in element order, and a
-    misfit at element k raises the V* path's error after exactly k
-    deploys."""
+    """send_call and send_result hand a list<IPerson> or list<Pt> to
+    marshal whole, and write the bytes of the V* path. Local components
+    deploy by reference in element order, and a misfit at element k raises
+    the V* path's error after exactly k deploys."""
     node, _, foreign = world
+    node.policies.set_return_policy("IPerson", "take", BY_REFERENCE)
     by_reference = functools.partial(
-        node.marshal_outbound, iface_name="IPerson", method_name="take", position=RETURN,
-        override=CallOverride(whole_call=BY_REFERENCE),
+        node.marshal_outbound, iface_name="IPerson", method_name="take", position=RETURN
     )
     marshalled_at = set()
 
@@ -385,12 +454,12 @@ def test_lists_of_references_and_records_write_the_value_path_bytes(world):
         marshalled_at.clear()
         typed, deployed = deploys(lambda: _texts("take", x, people_t, marshal))
         assert deployed == [ann, bo, cy]
-        assert marshalled_at == {IPERSON_T}  # never the whole list
+        assert marshalled_at == {people_t}  # the whole list, never an element
         assert typed == ("ok", _oracle_texts("take", x, people_t, marshal))
     points = [VRecord("Pt", [("x", VInt(1)), ("label", VStr("a"))]), None]
     marshalled_at.clear()
     typed = _texts("take", points, points_t, marshal)
-    assert marshalled_at == {PT}
+    assert marshalled_at == {points_t}
     assert typed == _oracle_texts("take", points, points_t, marshal)
 
     def misfit_at(k, misfit):

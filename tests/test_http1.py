@@ -75,30 +75,30 @@ def test_the_head_limits_are_the_same_for_a_reply(raw_reply):
 
 
 @pytest.mark.parametrize(
-    "value, cap, length",
+    "value, length",
     [
-        (b"16777216", 16777216, 16777216),
-        (b"16777217", 16777216, None),
-        (b"0" * 5000 + b"16777216", 16777216, 16777216),
-        (b"1000000000000000000", 16777216, None),
+        (b"16777216", 16777216),
+        (b"16777217", None),
+        (b"0" * 5000 + b"16777216", 16777216),
+        (b"1000000000000000000", None),
     ],
 )
-def test_the_ends_differ_only_in_the_cap(value, cap, length):
-    """One Content-Length rule, whose only parameter is the cap; both ends
-    pass MAX_BODY_BYTES."""
+def test_both_ends_hold_a_content_length_to_one_cap(value, length):
+    """One Content-Length rule with one cap, MAX_BODY_BYTES, for a request
+    and a reply alike."""
     assert MAX_BODY_BYTES == 16777216
     fields = {b"content-length": [value]}
     if length is None:
         with pytest.raises(Malformed, match="^Content-Length out of bounds$"):
-            body_length(fields, cap)
+            body_length(fields)
     else:
-        assert body_length(fields, cap) == length
+        assert body_length(fields) == length
 
 
 def test_a_head_without_content_length_declares_no_length():
     """None: the node refuses such a POST, and the client reads the reply
     to the close."""
-    assert body_length({b"host": [b" x"]}, MAX_BODY_BYTES) is None
+    assert body_length({b"host": [b" x"]}) is None
 
 
 @pytest.mark.parametrize(

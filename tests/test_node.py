@@ -496,7 +496,7 @@ def test_a_body_length_is_one_content_length_of_ascii_digits(head, length):
     request = b"POST /bob HTTP/1.1\r\n%s\r\n\r\n%s" % (head, b"x" * (length or 0))
 
     def body():
-        return http1.read_request(None, io.BytesIO(request), refbus.node.MAX_BODY_BYTES)[3]
+        return http1.read_request(None, io.BytesIO(request))[3]
 
     if length is not None:
         assert len(body()) == length

@@ -142,25 +142,23 @@ def test_exhaustive_precedence_matrix_param_position():
 
 
 def test_exhaustive_precedence_matrix_return_position():
+    """A return position has only the stored layers: the serving node
+    marshals a result with no per-call override, and resolve ignores one
+    given at a return position."""
+    overrides = [None] + [CallOverride(per_param={0: p}, whole_call=p) for p in _CHOICES[1:]]
     failures = 0
     for default in (BY_VALUE,):  # the system default, which is fixed
-        for for_return, whole_call in itertools.product(_CHOICES, _CHOICES):
-            for p_return, p_method, p_class in itertools.product(
-                _CHOICES, _CHOICES, _CHOICES
-            ):
-                store = PolicyStore()
-                if p_return is not None:
-                    store.set_return_policy("I", "m", p_return)
-                if p_method is not None:
-                    store.set_method_policy("I", "m", p_method)
-                if p_class is not None:
-                    store.set_class_policy("C", p_class)
-                override = None
-                if for_return is not None or whole_call is not None:
-                    override = CallOverride(for_return=for_return, whole_call=whole_call)
-                got = store.resolve(RETURN, "I", "m", "C", override)
-                want = _expected((for_return, whole_call, p_return, p_method, p_class), default)
-                if got is not want:
+        for p_return, p_method, p_class in itertools.product(_CHOICES, _CHOICES, _CHOICES):
+            store = PolicyStore()
+            if p_return is not None:
+                store.set_return_policy("I", "m", p_return)
+            if p_method is not None:
+                store.set_method_policy("I", "m", p_method)
+            if p_class is not None:
+                store.set_class_policy("C", p_class)
+            want = _expected((p_return, p_method, p_class), default)
+            for override in overrides:
+                if store.resolve(RETURN, "I", "m", "C", override) is not want:
                     failures += 1
     assert failures == 0
 

@@ -46,7 +46,7 @@ def test_a_policy_name_is_non_empty(setter, names):
     "fields",
     [
         {"whole_call": "BY_REFERENCE"},
-        {"for_return": "BY_VALUE"},
+        {"whole_call": 1},
         {"per_param": {0: "BY_REFERENCE"}},
         {"per_param": {0: BY_VALUE, 1: None}},
     ],
