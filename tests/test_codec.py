@@ -47,12 +47,14 @@ from refbus.scenarios import IPERSON, PERSON_CLASS, Person
 from refbus.values import (
     I64_MAX,
     I64_MIN,
+    NULL,
     Ior,
     VBool,
     VFloat,
     VInt,
     VList,
     VRecord,
+    VRef,
     VStr,
     to_value,
 )
@@ -724,6 +726,198 @@ def test_scalar_arguments_and_results_keep_their_outcomes(world, monkeypatch):
         received = [] if isinstance(expected, type) else [expected]
         assert len(taker.received) == len(received), value
         assert all(map(same, taker.received, received)), value
+
+
+def _rec(type_name: str, fields: str) -> str:
+    return '{"t":"rec","type":"%s","v":{%s}}' % (type_name, fields)
+
+
+def _ref(iface: str) -> str:
+    return '{"t":"ref","v":{"host":"127.0.0.1","port":1,"obj":7,"iface":"%s"}}' % iface
+
+
+_LISTS = ListOf(ListOf(Prim.I64))
+_X1, _LABEL = '"x":{"t":"i64","v":1}', '"label":{"t":"str","v":"a"}'
+_ANN, _AGE = '"name":{"t":"str","v":"Ann"}', '"age":{"t":"i64","v":30}'
+_NO_V = "i64 value must have exactly keys ['t', 'v'], got ['t']"
+_LIST_1 = '{"t":"list","v":[{"t":"i64","v":1}]}'
+# (type, value text, outcome) of a record, reference or nested list as the
+# one argument and as the result. An accepted value's outcome is (the
+# Python value the component and the caller get, the text the node echoes
+# it as). A misfit's is (TypeMismatchError, its mismatches, each with its
+# path in the value), and a malformed value's (BadEnvelopeError, its text
+# after the position's path).
+_NESTED_INBOUND = [
+    (PT, _rec("Pt", _X1 + "," + _LABEL), (_PT_VALUE, _PT_TEXT)),
+    (
+        PT, _rec("Qt", _X1 + "," + _LABEL),
+        (TypeMismatchError, ["$: expected record Pt, got rec (record type 'Qt')"]),
+    ),
+    (PT, _rec("Pt", _X1), (TypeMismatchError, ["$: record 'Pt' has 1 fields, expected 2"])),
+    (
+        PT, _rec("Pt", _LABEL + "," + _X1),
+        (TypeMismatchError, ["$: record field 'label' where 'x' was declared"]),
+    ),
+    (
+        PT, _rec("Pt", '"x":{"t":"str","v":"1"},' + _LABEL),
+        (TypeMismatchError, ["$.x: expected i64, got str"]),
+    ),
+    (
+        PT, _rec("Pt", '"x":{"t":"str","v":"1"},"label":{"t":"null"}'),
+        (TypeMismatchError, ["$.x: expected i64, got str", "$.label: expected str, got null"]),
+    ),
+    (PT, '{"t":"null"}', (None, '{"t":"null"}')),
+    (PT, _ref("IPerson"), (TypeMismatchError, ["$: expected record Pt, got ref"])),
+    (PT, _rec("Qt", '"x":{"t":"i64"}'), (BadEnvelopeError, ".x: " + _NO_V)),
+    (PT, _rec("Pt", _LABEL + ',"x":{"t":"i64"}'), (BadEnvelopeError, ".x: " + _NO_V)),
+    (
+        IPERSON_T, _ref("IOther"),
+        (TypeMismatchError, ["$: expected interface IPerson, got ref (reference to 'IOther')"]),
+    ),
+    (
+        IPERSON_T, _rec("Person", _ANN + ',"age":{"t":"null"}'),
+        (
+            VRecord("Person", [("name", VStr("Ann")), ("age", NULL)]),
+            _rec("Person", _ANN + ',"age":{"t":"null"}'),
+        ),
+    ),
+    (
+        IPERSON_T, _rec("Person", _ANN + ',"age":{"t":"str","v":"30"}'),
+        (TypeMismatchError, ["$.age: expected i64, got str"]),
+    ),
+    (
+        IPERSON_T, _rec("Person", _AGE + "," + _ANN),
+        (TypeMismatchError, ["$: record field 'age' where 'name' was declared"]),
+    ),
+    (
+        IPERSON_T, _rec("Person", _ANN + "," + _AGE + "," + _X1),
+        (TypeMismatchError, ["$: record 'Person' has 3 fields, expected 2"]),
+    ),
+    (
+        IPERSON_T, _rec("Pet", _ANN),
+        (
+            TypeMismatchError,
+            ["$: expected interface IPerson, got rec (class 'Pet' is not compatible)"],
+        ),
+    ),
+    (
+        IPERSON_T, _rec("Robot", _X1),
+        (VRecord("Robot", [("x", VInt(1))]), _rec("Robot", _X1)),
+    ),
+    (IPERSON_T, '{"t":"null"}', (None, '{"t":"null"}')),
+    (
+        IPERSON_T, '{"t":"list","v":[]}',
+        (TypeMismatchError, ["$: expected interface IPerson, got list"]),
+    ),
+    (
+        _LISTS, '{"t":"list","v":[' + _LIST_1 + ',{"t":"list","v":[]}]}',
+        ([[1], []], '{"t":"list","v":[' + _LIST_1 + ',{"t":"list","v":[]}]}'),
+    ),
+    (
+        _LISTS, '{"t":"list","v":[' + _LIST_1 + ',{"t":"list","v":[{"t":"str","v":"a"}]}]}',
+        (TypeMismatchError, ["$[1][0]: expected i64, got str"]),
+    ),
+    (
+        _LISTS, '{"t":"list","v":[{"t":"list","v":[{"t":"str","v":"a"}]},{"t":"i64","v":5}]}',
+        (
+            TypeMismatchError,
+            ["$[0][0]: expected i64, got str", "$[1]: expected list<i64>, got i64"],
+        ),
+    ),
+    (
+        _LISTS,
+        '{"t":"list","v":[{"t":"list","v":[{"t":"str","v":"a"}]},{"t":"list","v":[{"t":"i64"}]}]}',
+        (BadEnvelopeError, "[1][0]: " + _NO_V),
+    ),
+    (
+        _LISTS, '{"t":"list","v":[' + _rec("Qt", '"a":{"t":"i64"}') + "]}",
+        (BadEnvelopeError, "[0].a: " + _NO_V),
+    ),
+    (Prim.STR, '{"t":"list","v":[{"t":"i64"}]}', (BadEnvelopeError, "[0]: " + _NO_V)),
+]
+
+
+class Pet:
+    pass
+
+
+def test_nested_arguments_and_results_keep_their_outcomes(world, monkeypatch):
+    """For each record, reference or nested list as the one argument and as
+    the result: the node's exact reply, what the component gets, and the
+    caller's exact result or error. Mismatches keep their texts and their
+    order, and a malformed value beats a misfit, in the same position or
+    around it. A refused value reaches no component."""
+    node, _, _ = world
+    node.register_class(Pet, ClassDescriptor("Pet", [("name", Prim.STR)]), constructor=False)
+    sent = {PT: None, IPERSON_T: None, _LISTS: [[1]], Prim.STR: "s"}
+    takers = {t: _deploy_taker(node, f"nested{i}", (t,), t) for i, t in enumerate(sent)}
+    paths = {t: f"/nested{i}" for i, t in enumerate(sent)}
+    for t, value, (expected, detail) in _NESTED_INBOUND:
+        taker, proxy = takers[t]
+        taker.received.clear()
+        body = '{"method":"take","args":[' + value + "]}"
+        _, text = node.handle_request("POST", paths[t], "", body.encode())
+        reply = ('{"result":' + value + "}").encode()
+        monkeypatch.setattr(refbus.client, "post_call", lambda *args: reply)
+        got = outcome(lambda: proxy.take(sent[t]))
+        if expected is BadEnvelopeError:
+            assert text == _fault("BAD_ENVELOPE", "$.args[0]" + detail), value
+            assert got == ("raised", expected, "$.result" + detail), value
+        elif expected is TypeMismatchError:
+            node_text = "; ".join("arg 0 " + m for m in detail)
+            assert text == _fault("TYPE_MISMATCH", node_text), value
+            assert got == ("raised", expected, "result: " + "; ".join(detail)), value
+        else:
+            assert text == '{"result":' + detail + "}", value
+            assert got[0] == "ok" and same(got[1], expected), value
+        received = [] if isinstance(expected, type) else [expected]
+        assert len(taker.received) == len(received), value
+        assert all(map(same, taker.received, received)), value
+
+
+def _nested_value(depth: int):
+    v = VList([])
+    for _ in range(depth - 1):
+        v = VList([v])
+    return v
+
+
+def _nested_type(depth: int):
+    t = Prim.I64
+    for _ in range(depth):
+        t = ListOf(t)
+    return t
+
+
+# (declared type, value, error) of a value the caller supplies that the
+# marshal leaf refuses: the method never runs
+_OUTBOUND_VALUES = [
+    (
+        PT, VRecord("Pt", [("x", VStr("1")), ("label", VStr("a"))]),
+        (TypeMismatchError, "$.x: expected i64, got str"),
+    ),
+    (
+        PT, VRecord("Qt", [("x", VInt(1)), ("label", VStr("a"))]),
+        (TypeMismatchError, "$: expected record Pt, got rec (record type 'Qt')"),
+    ),
+    (
+        ListOf(Prim.I64), VList([VInt(1), VStr("a"), VList([])]),
+        (TypeMismatchError, "$[1]: expected i64, got str; $[2]: expected i64, got list"),
+    ),
+    (
+        IPERSON_T, VRef(Ior("127.0.0.1", 1, 7, "IOther")),
+        (TypeMismatchError, "$: expected interface IPerson, got ref (reference to 'IOther')"),
+    ),
+    (_nested_type(101), _nested_value(101), (BadEnvelopeError, "value nesting too deep")),
+]
+
+
+def test_supplied_values_are_checked_before_the_method_runs(world):
+    node, _, _ = world
+    for i, (t, value, expected) in enumerate(_OUTBOUND_VALUES):
+        taker, proxy = _deploy_taker(node, f"supplied{i}", (t,), Prim.NULL)
+        assert outcome(lambda: proxy.take(value)) == ("raised", *expected), value
+        assert taker.received == []
 
 
 def test_misfits_fault_before_anything_materializes(world):
