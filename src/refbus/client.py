@@ -46,9 +46,9 @@ from .values import (
     VNull,
     VRecord,
     VRef,
-    type_check,  # unused here; bench/tracer.py patches refbus.client.type_check
 )
 from .wire import CallEnvelope, decode_reply, encode_call
+from .wire import type_check  # unused here; bench/tracer.py patches refbus.client.type_check
 from .wire import loads, read_reply, receive, reply_shape, send_call
 
 DEFAULT_TIMEOUT = 30.0
@@ -244,7 +244,8 @@ def materialize(node, v: Value):
     (unproxying) when their object number and interface name belong to one
     deployment; other references intern to a proxy. Records reconstruct a
     fresh component when a constructor is registered for their type name,
-    otherwise they are delivered as-is; type_check first ensures they hold
+    otherwise they are delivered as-is. The walk that parsed the value has
+    already checked it against its declared type, so such a record holds
     that class's state fields in order.
     """
     if isinstance(v, VNull):

@@ -87,6 +87,8 @@ class ClassDescriptor:
             raise ValueError("class name must be non-empty")
         fields = tuple((fname, ftype) for fname, ftype in state_fields)
         field_names = [fname for fname, _ in fields]
+        if not all(field_names):
+            raise ValueError(f"state field names in class {name!r} must be non-empty")
         if len(set(field_names)) != len(field_names):
             raise ValueError(f"duplicate state field names in class {name!r}")
         methods = tuple(methods)

@@ -71,11 +71,10 @@ from .values import (
     VRecord,
     VRef,
     to_value,
-    type_check,
     typeref_name,
 )
 from .wire import CallEnvelope, ReplyEnvelope, decode_reply, encode_call, encode_reply
-from .wire import call_shape, loads, parse_args, read_call, receive, send_result
+from .wire import call_shape, loads, parse_args, read_call, receive, send_result, type_check
 from .wire import decode_call  # unused here; bench/tracer.py patches refbus.node.decode_call
 
 # Seconds a connection may send nothing before the node closes it and its

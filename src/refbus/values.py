@@ -226,14 +226,6 @@ def to_value(x, t: TypeRef, leaf: Callable[[Any, TypeRef], Value]) -> Value:
         raise TypeMismatchError(str(exc)) from None
 
 
-_TAGS = {VNull: "null", **SCALAR_TAG_BY_CLASS, VList: "list", VRecord: "rec", VRef: "ref"}
-
-
-def value_tag(v: Value) -> str:
-    """Wire tag of a value, used in mismatch descriptions."""
-    return _TAGS[type(v)]
-
-
 def typeref_name(t: TypeRef) -> str:
     if isinstance(t, Prim):
         return t.value
@@ -268,6 +260,8 @@ class TypeEnvironment:
         self._claim(name)
         pairs = tuple((fname, ftype) for fname, ftype in fields)
         names = [fname for fname, _ in pairs]
+        if not all(names):
+            raise ValueError(f"field names in record type {name!r} must be non-empty")
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate field names in record type {name!r}")
         self.records[name] = pairs
@@ -279,93 +273,3 @@ class TypeEnvironment:
     def add_class(self, descriptor: "ClassDescriptor"):
         self._claim(descriptor.name)
         self.classes[descriptor.name] = descriptor
-
-
-def type_check(v: Value, t: TypeRef, env: TypeEnvironment) -> list[str]:
-    """Check a value against a signature type.
-
-    Returns mismatch descriptions, each giving the path into the value and
-    the expected/actual tags; an empty list means the value conforms.
-    Null conforms to any interface or record position (an absent
-    reference), and a record conforms to an interface position because a
-    by-value component copy travels as its state record. When the record
-    names a class in ``env``, that class must be compatible with the
-    interface and the record must hold its state fields.
-    """
-    mismatches: list[str] = []
-    _check(v, t, env, "$", mismatches)
-    return mismatches
-
-
-def _mismatch(out: list[str], path: str, t: TypeRef, v: Value, note: str = ""):
-    suffix = f" ({note})" if note else ""
-    out.append(f"{path}: expected {typeref_name(t)}, got {value_tag(v)}{suffix}")
-
-
-def _check(v: Value, t: TypeRef, env: TypeEnvironment, path: str, out: list[str]):
-    if isinstance(t, Prim):
-        if _TAGS[type(v)] != t.value:
-            _mismatch(out, path, t, v)
-        return
-    if isinstance(t, ListOf):
-        if not isinstance(v, VList):
-            _mismatch(out, path, t, v)
-            return
-        for i, item in enumerate(v.items):
-            _check(item, t.elem, env, f"{path}[{i}]", out)
-        return
-    if isinstance(t, RecordType):
-        if isinstance(v, VNull):
-            return
-        if not isinstance(v, VRecord):
-            _mismatch(out, path, t, v)
-            return
-        if v.type_name != t.name:
-            _mismatch(out, path, t, v, f"record type {v.type_name!r}")
-            return
-        declared = env.records.get(t.name)
-        if declared is None:
-            out.append(f"{path}: record type {t.name!r} is not defined")
-            return
-        _check_fields(v, declared, env, path, out)
-        return
-    # InterfaceType: a reference with the right interface, an absent
-    # reference, or a by-value component copy (record). A copy naming a class
-    # known here holds that class's state, with null for None fields as
-    # snapshots send them, and the class must be compatible.
-    if isinstance(v, VNull):
-        return
-    if isinstance(v, VRecord):
-        cls = env.classes.get(v.type_name)
-        if cls is None:
-            return
-        from .interfaces import check_compat  # interfaces imports this module
-
-        iface = env.interfaces.get(t.name)
-        if iface is None or check_compat(cls, iface):
-            _mismatch(out, path, t, v, f"class {cls.name!r} is not compatible")
-        else:
-            _check_fields(v, cls.state_fields, env, path, out, null_ok=True)
-        return
-    if isinstance(v, VRef):
-        if v.ior.interface_name != t.name:
-            _mismatch(out, path, t, v, f"reference to {v.ior.interface_name!r}")
-        return
-    _mismatch(out, path, t, v)
-
-
-def _check_fields(v: VRecord, declared, env, path: str, out: list[str], *, null_ok=False):
-    """Declared names, order and count; each value conforms or, if null_ok, is null."""
-    if len(v.fields) != len(declared):
-        out.append(
-            f"{path}: record {v.type_name!r} has {len(v.fields)} fields, "
-            f"expected {len(declared)}"
-        )
-        return
-    for (fname, fvalue), (dname, dtype) in zip(v.fields, declared):
-        if fname != dname:
-            out.append(f"{path}: record field {fname!r} where {dname!r} was declared")
-            return
-        if not (null_ok and isinstance(fvalue, VNull)):
-            _check(fvalue, dtype, env, f"{path}.{fname}", out)
-

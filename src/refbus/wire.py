@@ -22,10 +22,11 @@ or the result of a reply, declared ``readable``: where the body is the
 canonical text ``_encode`` writes, they read the payloads straight from it
 with one ``json.loads`` of a bare array, and build no element object.
 Anything else they decline, before parsing or after, where a payload does
-not fit. Every other position takes the V* path in ``receive``:
-``_parse_value`` parses it into a ``values.Value``, ``type_check`` checks
-it against the declared type, and the caller's ``materialize`` turns it
-into a Python value. That path answers every fault.
+not fit. Every other position takes the V* path in ``receive``: one walk
+of ``_parse_value`` parses it into a ``values.Value`` and checks it
+against the declared type, and once every position fits, the caller's
+``materialize`` turns each into a Python value. That path answers every
+fault. ``type_check`` runs the same walk over a value the caller supplies.
 """
 
 from __future__ import annotations
@@ -38,15 +39,18 @@ from json.encoder import encode_basestring
 from typing import Any, Callable, Iterable
 
 from .errors import BadEnvelopeError, FaultCode
+from .interfaces import check_compat
 from .values import (
     I64_MAX,
     I64_MIN,
     NULL,
     SCALAR_CLASS_BY_TAG,
     SCALAR_TAG_BY_CLASS,
+    InterfaceType,
     Ior,
     ListOf,
     Prim,
+    RecordType,
     TypeEnvironment,
     TypeRef,
     Value,
@@ -54,7 +58,7 @@ from .values import (
     VNull,
     VRecord,
     VRef,
-    type_check,
+    typeref_name,
 )
 
 
@@ -183,19 +187,69 @@ def _require_keys(obj: dict, keys: set[str], what: str, path: str):
         )
 
 
-def _parse_value(obj: Any, path: str, depth: int = 0) -> Value:
-    """Check the JSON shape here; the value classes check what fits.
+# The tags a value may carry at a list, record or interface type; at a Prim,
+# only the Prim's own. Null fits a record or an interface (an absent
+# reference), and a record fits an interface, because a by-value component
+# copy travels as its state record.
+_TAGS_AT = {
+    ListOf: ("list",), RecordType: ("null", "rec"), InterfaceType: ("null", "rec", "ref")
+}
+_PRIM_BY_TAG = {prim.value: prim for prim in Prim}
 
-    ``depth`` counts the lists and records around ``obj``. Recursion takes
-    at most two frames per level, so MAX_NESTING levels parse under any
-    caller that leaves Python's default recursion limit a few hundred
-    frames of room.
+
+def _declared_fields(type_name: str, count: int, t: TypeRef, env: TypeEnvironment, path, out):
+    """The (name, type) pairs a record named ``type_name`` with ``count``
+    fields must hold, in order, at ``t``; None, with any mismatch added to
+    ``out``, where its fields are not checked. A copy of a class unknown
+    here fits an interface unchecked; a known class must be compatible."""
+    if type(t) is RecordType:
+        if type_name != t.name:
+            out.append(f"{path}: expected record {t.name}, got rec (record type {type_name!r})")
+            return None
+        declared = env.records.get(t.name)
+        if declared is None:
+            out.append(f"{path}: record type {t.name!r} is not defined")
+            return None
+    else:
+        cls = env.classes.get(type_name)
+        if cls is None:
+            return None
+        iface = env.interfaces.get(t.name)
+        if iface is None or check_compat(cls, iface):
+            out.append(
+                f"{path}: expected interface {t.name}, got rec "
+                f"(class {type_name!r} is not compatible)"
+            )
+            return None
+        declared = cls.state_fields
+    if count != len(declared):
+        out.append(f"{path}: record {type_name!r} has {count} fields, expected {len(declared)}")
+        return None
+    return declared
+
+
+def _parse_value(
+    obj: Any, path: str, t: TypeRef | None = None, env=None, out=None, depth: int = 0
+) -> Value:
+    """Parse the JSON value at ``path`` and, given a declared type ``t``,
+    check it against ``t`` in the same walk.
+
+    The JSON shape is checked here, and the value classes check what fits;
+    either raises BadEnvelopeError. Each mismatch with ``t`` (in ``env``)
+    is added to ``out``, and the subtree under it is parsed without a type,
+    so a malformed value anywhere still raises. ``depth`` counts the lists
+    and records around ``obj``. Recursion takes at most two frames per
+    level, so MAX_NESTING levels parse under any caller that leaves
+    Python's default recursion limit a few hundred frames of room.
     """
     if not isinstance(obj, dict):
         raise BadEnvelopeError(f"{path}: value must be a tagged object")
     tag = obj.get("t")
     if not isinstance(tag, str):  # a JSON list or object tag is unhashable
         raise BadEnvelopeError(f"{path}: unknown value tag {tag!r}")
+    if t is not None and t is not _PRIM_BY_TAG.get(tag) and tag not in _TAGS_AT.get(type(t), ()):
+        out.append(f"{path}: expected {typeref_name(t)}, got {tag}")
+        t = None
     scalar = SCALAR_CLASS_BY_TAG.get(tag)
     try:
         if scalar is not None:
@@ -207,7 +261,13 @@ def _parse_value(obj: Any, path: str, depth: int = 0) -> Value:
             if not isinstance(ref, dict):
                 raise BadEnvelopeError(f"{path}: reference payload must be an object")
             _require_keys(ref, {"host", "port", "obj", "iface"}, "reference", path)
-            return VRef(Ior(ref["host"], ref["port"], ref["obj"], ref["iface"]))
+            ior = Ior(ref["host"], ref["port"], ref["obj"], ref["iface"])
+            if t is not None and ior.interface_name != t.name:
+                out.append(
+                    f"{path}: expected interface {t.name}, got ref "
+                    f"(reference to {ior.interface_name!r})"
+                )
+            return VRef(ior)
     except ValueError as exc:
         raise BadEnvelopeError(f"{path}: {exc}") from None
     if tag == "null":
@@ -215,27 +275,55 @@ def _parse_value(obj: Any, path: str, depth: int = 0) -> Value:
         return NULL
     if (tag == "list" or tag == "rec") and depth == MAX_NESTING:
         raise BadEnvelopeError("value nesting too deep")
+    depth += 1
     if tag == "list":
         _require_keys(obj, {"t", "v"}, "list value", path)
-        if not isinstance(obj["v"], list):
+        items = obj["v"]
+        if not isinstance(items, list):
             raise BadEnvelopeError(f"{path}: list payload must be an array")
+        elem = None if t is None else t.elem
         return VList(
-            [_parse_value(item, f"{path}[{i}]", depth + 1) for i, item in enumerate(obj["v"])]
+            [
+                _parse_value(item, f"{path}[{i}]", elem, env, out, depth)
+                for i, item in enumerate(items)
+            ]
         )
     if tag == "rec":
         _require_keys(obj, {"t", "type", "v"}, "record value", path)
-        type_name = obj["type"]
+        type_name, payload = obj["type"], obj["v"]
         if not isinstance(type_name, str) or not type_name:
             raise BadEnvelopeError(f"{path}: record type must be a non-empty string")
-        if not isinstance(obj["v"], dict):
+        if not isinstance(payload, dict):
             raise BadEnvelopeError(f"{path}: record payload must be an object")
+        declared = None
+        if t is not None:
+            declared = _declared_fields(type_name, len(payload), t, env, path, out)
+        # a copy sends a None field as null, which fits any field type there
+        null_ok = type(t) is InterfaceType
         fields = []
-        for name, value in obj["v"].items():
+        for i, (name, item) in enumerate(payload.items()):
             if not isinstance(name, str) or not name:
                 raise BadEnvelopeError(f"{path}: record field names must be non-empty")
-            fields.append((name, _parse_value(value, f"{path}.{name}", depth + 1)))
+            ftype = None
+            if declared is not None:
+                dname, ftype = declared[i]
+                if name != dname:
+                    out.append(f"{path}: record field {name!r} where {dname!r} was declared")
+                    declared = ftype = None
+                elif null_ok and item == {"t": "null"}:
+                    ftype = None
+            fields.append((name, _parse_value(item, f"{path}.{name}", ftype, env, out, depth)))
         return VRecord(type_name, fields)
     raise BadEnvelopeError(f"{path}: unknown value tag {tag!r}")
+
+
+def type_check(v: Value, t: TypeRef, env: TypeEnvironment) -> list[str]:
+    """Mismatches of a value with a signature type, each with its path in
+    the value; empty where it fits. The value's JSON takes the walk that
+    checks every received position."""
+    out: list[str] = []
+    _parse_value(_value_obj(v), "$", t, env, out)
+    return out
 
 
 def decode_value(text: str) -> Value:
@@ -349,17 +437,19 @@ def receive(
 ) -> tuple[list, list]:
     """(values, misfits) of the parsed JSON values at signature positions.
 
-    ``_parse_value`` parses each position at ``path.format(i)``, so
-    BadEnvelopeError leaves at the first position that does not parse, and
-    ``type_check`` adds ``(i, mismatches)`` to misfits. Only when there are
-    no misfits are the values materialized.
+    One walk of ``_parse_value`` parses each position at ``path.format(i)``
+    and checks it against its type, so BadEnvelopeError leaves at the first
+    position that does not parse, and a position that does not fit adds
+    ``(i, mismatches)`` to misfits, each path relative to the position.
+    Only when there are no misfits are the values materialized: that runs
+    constructors and interns proxies, so it stays a pass of its own.
     """
     values, misfits = [], []
     for i, (obj, t) in enumerate(zip(objs, types)):
-        v = _parse_value(obj, path.format(i))
-        if mismatches := type_check(v, t, env):
-            misfits.append((i, mismatches))
-        values.append(v)
+        root, out = path.format(i), []
+        values.append(_parse_value(obj, root, t, env, out))
+        if out:
+            misfits.append((i, ["$" + m[len(root) :] for m in out]))
     if not misfits:
         values = [materialize(v) for v in values]
     return values, misfits

@@ -1,12 +1,13 @@
 """The text path against the V* path it stands in for.
 
-The V* path is the oracle: wire._parse_value, type_check and materialize
-inbound; Node.marshal_outbound and wire._value_obj outbound. For seeded
-random types, well-typed values and mutated ones, both paths must give
-equal results, byte-identical text and the same faults with the same
-messages. Well-typed values of a ``readable`` type must be written by the
-text path, so a silent fallback cannot hide a slow codec. Every other
-position takes the V* path both ways, so the pinned tables here, not the
+The V* path is the oracle: inbound, one walk of wire._parse_value parses
+and checks each position, and materialize then acts; outbound,
+Node.marshal_outbound and wire._value_obj. For seeded random types,
+well-typed values and mutated ones, both paths must give equal results,
+byte-identical text and the same faults with the same messages.
+Well-typed values of a ``readable`` type must be written by the text
+path, so a silent fallback cannot hide a slow codec. Every other position
+takes the V* path both ways, so the pinned tables here, not the
 comparison, hold its bytes and faults in place.
 """
 

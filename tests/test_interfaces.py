@@ -73,6 +73,12 @@ def test_no_method_overloading():
         InterfaceDescriptor("I", [MethodSig("m"), MethodSig("m", (Prim.I64,))])
 
 
+def test_class_state_fields_refuse_empty_names():
+    # a snapshot with an empty field name would be refused by every receiver
+    with pytest.raises(ValueError, match="^state field names in class 'C' must be non-empty$"):
+        ClassDescriptor("C", [("", Prim.I64)])
+
+
 @pytest.mark.parametrize("name", ["__resolve", "__snapshot"])
 def test_reserved_method_names_cannot_be_declared(name):
     # every deployment answers these itself, so a declared one could never run

@@ -28,13 +28,13 @@ PUBLIC = {
 SUBMODULE_ONLY = {
     "refbus.values": [
         "NULL", "Ior", "TypeEnvironment", "TypeRef", "Value", "VBool", "VFloat",
-        "VInt", "VList", "VNull", "VRecord", "VRef", "VStr", "type_check",
+        "VInt", "VList", "VNull", "VRecord", "VRef", "VStr",
     ],
     "refbus.wire": [
         "CallEnvelope", "Fault", "ReplyEnvelope", "encode_call", "encode_reply",
         "encode_value", "decode_call", "decode_reply", "decode_value", "loads",
         "call_shape", "reply_shape", "parse_args", "receive",
-        "send_call", "send_result", "readable", "read_call", "read_reply",
+        "send_call", "send_result", "readable", "read_call", "read_reply", "type_check",
     ],
     "refbus.interfaces": ["ClosureViolation", "check_closure", "check_compat", "describe"],
     "refbus.policy": ["ParamPos", "RETURN", "ReturnPos", "PolicyStore", "TransmissionPolicy"],

@@ -19,9 +19,8 @@ from refbus.values import (
     VRecord,
     VRef,
     VStr,
-    type_check,
 )
-from refbus.wire import encode_value
+from refbus.wire import encode_value, type_check
 from conftest import TypedGenerator, clone_value, deep_eq, random_value
 
 
@@ -93,6 +92,14 @@ def test_environment_namespaces_are_disjoint():
         env.add_record("Student", [])
     with pytest.raises(ValueError):
         env.add_interface(InterfaceDescriptor("Student"))
+
+
+def test_record_types_refuse_empty_field_names():
+    # the wire refuses an empty field name, so no value of the shape could travel
+    env = TypeEnvironment()
+    with pytest.raises(ValueError, match="^field names in record type 'R' must be non-empty$"):
+        env.add_record("R", [("a", Prim.I64), ("", Prim.I64)])
+    assert "R" not in env.records
 
 
 # ---------------------------------------------------------------------------
