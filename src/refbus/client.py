@@ -162,7 +162,10 @@ class Proxy:
 
     Its invocable methods are exactly the interface's; attribute access is
     sugar over invoke(). Proxies with equal Iors are interned to one
-    object, so identity comparison works.
+    object while any of them is alive, so identity comparison works. The
+    intern table holds proxies weakly, so a proxy must stay free of
+    reference cycles (no callables cached on the instance): reference
+    counting then frees it as soon as its last holder drops it.
     """
 
     def __init__(self, node, ior, iface: InterfaceDescriptor):

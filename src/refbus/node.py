@@ -362,13 +362,11 @@ class Node:
         Total over raw requests: anything that goes wrong inside call
         handling becomes a fault envelope, never an exception.
         """
-        wants_wsdl = "wsdl" in parse_qs(query, keep_blank_values=True)
-
         if http_method == "GET":
             if path == "/":
                 return 200, self._listing()
             dep = self._route(path)
-            if wants_wsdl:
+            if "wsdl" in parse_qs(query, keep_blank_values=True):
                 if dep is None:
                     return 200, encode_reply(
                         ReplyEnvelope.fail(FaultCode.UNKNOWN_SERVICE, f"no such service: {path}")

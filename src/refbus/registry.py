@@ -1,6 +1,11 @@
 """Per-node tables: deployments addressed by name, object number, and
 component identity, plus the client-side proxy intern table.
 
+The intern table holds its proxies weakly: an entry lives exactly as long
+as something in the program holds that proxy, so a reference received and
+dropped costs the receiver nothing. The deployment tables keep every
+deployment for the node's lifetime.
+
 Object numbers are assigned lazily (a named deployment gets one only when
 it is first exported by reference), start at 0, increment monotonically,
 and are never reused for the node's lifetime. The same (component
@@ -11,6 +16,7 @@ what makes just-in-time deployment idempotent.
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass, field
 
 from .component import ComponentHandle
@@ -110,11 +116,17 @@ class ObjectTable:
 
 
 class ProxyTable:
-    """Client-side intern table: equal Iors yield the identical proxy handle."""
+    """Client-side intern table: equal Iors yield the identical proxy
+    handle while any proxy for them is alive.
+
+    Proxies are held weakly, so the table never keeps one alive. A
+    reference received after its proxy died gets a fresh proxy from the
+    factory.
+    """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._proxies: dict[Ior, object] = {}
+        self._proxies: weakref.WeakValueDictionary[Ior, object] = weakref.WeakValueDictionary()
 
     def intern(self, ior: Ior, factory):
         with self._lock:

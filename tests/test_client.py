@@ -6,6 +6,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import functools
+import gc
 import http.client
 import math
 import pickle
@@ -13,6 +14,7 @@ import re
 import socketserver
 import threading
 import time
+import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -667,6 +669,41 @@ def test_two_receipts_of_one_ior_intern_to_one_proxy(make_node):
     proxy.setItem(john)
     assert len(holder.received) == 2
     assert holder.received[0] is holder.received[1]
+
+
+def test_a_receiver_keeps_no_proxy_it_received_and_dropped(make_node):
+    """The receiving node's intern table does not grow with every
+    reference it was passed: a replaced spouse's proxy is freed."""
+    sender, receiver = make_node(), make_node()
+    sender.policies.set_method_policy("IPerson", "setSpouse", BY_REFERENCE)
+    mary = Person("Mary Brown", 34)
+    receiver.deploy("IPerson", mary, "mary")
+    proxy = sender.get_component_by_name("mary", receiver.host, receiver.port)
+    for i in range(500):
+        proxy.setSpouse(Person(f"Spouse {i}", i))
+    gc.collect()
+    assert len(receiver.proxies._proxies) <= 1
+    assert isinstance(mary.spouse, Proxy) and mary.spouse.getAge() == 499
+
+
+def test_a_dropped_proxy_dies_by_reference_counting_and_a_new_receipt_works(make_node):
+    server, consumer = make_node(), make_node()
+    server.deploy("INamedEntity", Student("Bobby Jones", 1234), "bob")
+    proxy = consumer.get_component_by_name("bob", server.host, server.port)
+    dead = weakref.ref(proxy)
+    enabled = gc.isenabled()
+    gc.disable()  # a cycle through the proxy would survive reference counting
+    try:
+        assert proxy.getName() == "Bobby Jones"  # through __getattr__
+        del proxy
+        assert dead() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(consumer.proxies._proxies) == 0
+    again = consumer.get_component_by_name("bob", server.host, server.port)
+    assert again.getName() == "Bobby Jones"
+    assert consumer.get_component_by_name("bob", server.host, server.port) is again
 
 
 def test_a_copy_of_a_proxy_is_the_proxy(make_node):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -172,6 +174,10 @@ def test_name_and_object_tables_agree():
 # proxy interning
 
 
+class _Stub:
+    """A stand-in proxy; the table holds proxies weakly, and a plain object() cannot be."""
+
+
 def test_intern_same_key_returns_identical_handle():
     proxies = ProxyTable()
     ior = Ior("h", 80, 3, "I")
@@ -179,7 +185,7 @@ def test_intern_same_key_returns_identical_handle():
 
     def factory(i):
         made.append(i)
-        return object()
+        return _Stub()
 
     first = proxies.intern(ior, factory)
     second = proxies.intern(Ior("h", 80, 3, "I"), factory)
@@ -196,9 +202,9 @@ def test_intern_distinguishes_every_key_field():
         Ior("h", 80, 4, "I"),
         Ior("h", 80, 3, "J"),
     ]
-    first = proxies.intern(base, lambda i: object())
+    first = proxies.intern(base, lambda i: _Stub())
     for variant in variants:
-        assert proxies.intern(variant, lambda i: object()) is not first
+        assert proxies.intern(variant, lambda i: _Stub()) is not first
 
 
 def test_proxy_key_equality_is_fieldwise():
@@ -208,7 +214,7 @@ def test_proxy_key_equality_is_fieldwise():
     assert a is not b
     assert a == b and hash(a) == hash(b)
     proxies = ProxyTable()
-    assert proxies.intern(a, lambda i: object()) is proxies.intern(b, lambda i: object())
+    assert proxies.intern(a, lambda i: _Stub()) is proxies.intern(b, lambda i: _Stub())
 
 
 def test_concurrent_intern_single_winner():
@@ -218,10 +224,60 @@ def test_concurrent_intern_single_winner():
     lock = threading.Lock()
 
     def intern():
-        p = proxies.intern(ior, lambda i: object())
+        p = proxies.intern(ior, lambda i: _Stub())
         with lock:
             results.append(p)
 
     with ThreadPoolExecutor(max_workers=8) as pool:
         list(pool.map(lambda _: intern(), range(100)))
     assert len({id(p) for p in results}) == 1
+
+
+def test_a_dropped_proxy_leaves_the_table_and_a_new_receipt_makes_a_new_one():
+    proxies = ProxyTable()
+    ior = Ior("h", 80, 3, "I")
+    made = []
+
+    def factory(i):
+        made.append(i)
+        return _Stub()
+
+    first = proxies.intern(ior, factory)
+    del first  # reference counting frees it here; no gc.collect()
+    second = proxies.intern(Ior("h", 80, 3, "I"), factory)
+    assert made == [ior, ior]
+    assert proxies.intern(ior, factory) is second
+    assert len(made) == 2 and len(proxies._proxies) == 1
+    del second
+    assert len(proxies._proxies) == 0
+
+
+def test_concurrent_intern_and_drop_never_yields_two_live_proxies():
+    # Proxies die on other threads while interns run; a second proxy for
+    # one Ior made while the first still lives would break identity.
+    proxies = ProxyTable()
+    ior = Ior("h", 80, 3, "I")
+    made: list[weakref.ref] = []
+    both_alive = []
+
+    def factory(i):  # runs under the table's lock
+        if any(ref() is not None for ref in made):
+            both_alive.append(len(made))
+        stub = _Stub()
+        made.append(weakref.ref(stub))
+        return stub
+
+    def churn(_):
+        for _ in range(300):
+            proxy = proxies.intern(ior, factory)
+            del proxy
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            list(pool.map(churn, range(8)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert both_alive == []
+    assert len(made) > 1  # proxies did die and were made again
