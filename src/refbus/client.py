@@ -1,5 +1,6 @@
 """Client half of a node: HTTP transport, proxies, value materialization,
-and name-based lookup.
+name-based lookup and remote snapshots. Every request a node sends leaves
+from here.
 
 Each request takes a fresh connection, opened by ``http.client`` (its host
 check, ``TCP_NODELAY`` and audit event), then leaves in one write; ``http1``
@@ -36,7 +37,7 @@ from .errors import (
     UnknownServiceError,
     fault_error,
 )
-from .interfaces import RESOLVE_METHOD, InterfaceDescriptor
+from .interfaces import RESOLVE_METHOD, SNAPSHOT_METHOD, InterfaceDescriptor
 from .policy import CallOverride, ParamPos
 from .registry import validate_name
 from .values import (
@@ -65,10 +66,10 @@ def _check_timeout(timeout) -> None:
 
 def remaining(deadline: float) -> float:
     """Seconds left before a ``time.monotonic()`` deadline, for the next
-    request of a call; CallTimeout when none are left."""
+    request or socket operation; CallTimeout when none are left."""
     left = deadline - time.monotonic()
     if left <= 0:
-        raise CallTimeout("call timed out before its next request")
+        raise CallTimeout("the deadline passed before the next request or socket operation")
     return left
 
 
@@ -87,15 +88,6 @@ class CallOptions:
 DEFAULT_OPTIONS = CallOptions()
 
 
-def _time_left(deadline: float) -> float:
-    """Seconds left before ``deadline``, for the next socket operation;
-    socket.timeout when none are left."""
-    left = deadline - time.monotonic()
-    if left <= 0:
-        raise socket.timeout("the request's deadline passed")
-    return left
-
-
 class _DeadlineReader(io.RawIOBase):
     """A socket's bytes, each recv given only the time left before a
     deadline, so a reply trickled byte by byte cannot outlive it."""
@@ -108,26 +100,26 @@ class _DeadlineReader(io.RawIOBase):
         return True
 
     def readinto(self, buffer) -> int:
-        self._sock.settimeout(_time_left(self._deadline))
+        self._sock.settimeout(remaining(self._deadline))
         return self._sock.recv_into(buffer)
 
 
-def _http_request(host, port, method, path, body: bytes | None, timeout: float):
-    """(status, body) of one request on a fresh connection. http.client
-    only opens it; the request goes out in one write. ``timeout`` bounds
-    the whole request: the connect, the send and every recv get only the
-    time that is left. Nothing is retried; every refusal, a host with no
-    IDNA form included, is a NetworkError."""
+def _http_request(host, port, method, path, body: bytes | None, timeout: float) -> bytes:
+    """The body of a 200 reply to one request on a fresh connection. http.client
+    only opens it; the request goes out in one write. ``timeout`` bounds the
+    whole request: the connect, the send and every recv get only the time
+    that is left. Nothing is retried; every refusal, another status and a
+    host with no IDNA form included, is a NetworkError."""
     deadline = time.monotonic() + timeout
     try:
         conn = http.client.HTTPConnection(host, port, timeout=timeout)
         try:
             request = http1.request_bytes(method, path, conn.host, conn.port, body)
             conn.connect()
-            conn.sock.settimeout(_time_left(deadline))
+            conn.sock.settimeout(remaining(deadline))
             conn.sock.sendall(request)
             with io.BufferedReader(_DeadlineReader(conn.sock, deadline)) as rfile:
-                return http1.read_reply(rfile)
+                status, data = http1.read_reply(rfile)
         finally:
             conn.close()
     except socket.timeout as exc:
@@ -136,21 +128,19 @@ def _http_request(host, port, method, path, body: bytes | None, timeout: float):
         raise NetworkError(f"{method} {host}:{port}{path} failed: {exc}") from exc
     except (http.client.InvalidURL, http1.Malformed, http1.Truncated, UnicodeError) as exc:
         raise NetworkError(f"{method} {host}:{port}{path} failed: {type(exc).__name__}: {exc}") from exc
+    if status != 200:
+        raise NetworkError(f"{method} {host}:{port}{path} returned HTTP {status}")
+    return data
 
 
 def post_call(host, port, path, call: str, timeout: float = DEFAULT_TIMEOUT) -> bytes:
     """Send one call envelope, as JSON text, and return the reply body's
     bytes for the caller to decode."""
-    status, data = _http_request(host, port, "POST", path, call.encode("utf-8"), timeout)
-    if status != 200:
-        raise NetworkError(f"POST {host}:{port}{path} returned HTTP {status}")
-    return data
+    return _http_request(host, port, "POST", path, call.encode("utf-8"), timeout)
 
 
 def http_get(host, port, path, timeout: float = DEFAULT_TIMEOUT) -> str:
-    status, data = _http_request(host, port, "GET", path, None, timeout)
-    if status != 200:
-        raise NetworkError(f"GET {host}:{port}{path} returned HTTP {status}")
+    data = _http_request(host, port, "GET", path, None, timeout)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -306,3 +296,21 @@ def get_component_by_name(node, name, host, port, timeout: float = DEFAULT_TIMEO
             f"but the reference carries {ior.interface_name!r}"
         )
     return node.proxy_for_ior(ior)
+
+
+def snapshot(proxy: Proxy, deadline: float | None) -> VRecord:
+    """State record of a proxy's component, from the reserved ``__snapshot``
+    call, before a ``time.monotonic()`` ``deadline`` or within DEFAULT_TIMEOUT
+    without one; a fault or any other result is a NetworkError."""
+    ior = proxy.ior
+    call = encode_call(CallEnvelope(SNAPSHOT_METHOD))
+    timeout = DEFAULT_TIMEOUT if deadline is None else remaining(deadline)
+    reply = decode_reply(post_call(ior.host, ior.port, f"/obj/{ior.object_number}", call, timeout))
+    if reply.fault is not None:
+        raise NetworkError(
+            f"snapshot of {ior.interface_name} at {ior.host}:{ior.port} failed: "
+            f"{reply.fault.code.value}: {reply.fault.message}"
+        )
+    if not isinstance(reply.result, VRecord):
+        raise NetworkError("remote snapshot did not return a record")
+    return reply.result

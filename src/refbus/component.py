@@ -13,7 +13,9 @@ import threading
 
 from .errors import InternalFaultError, TypeMismatchError, UnknownMethodError
 from .interfaces import ClassDescriptor
-from .values import NULL, InterfaceType, RecordType, TypeRef, Value, VRecord, to_value, typeref_name
+from .values import NULL, InterfaceType, RecordType, TypeEnvironment, TypeRef, Value, VRecord
+from .values import to_value, typeref_name
+from .wire import type_check
 
 
 class ComponentHandle:
@@ -50,24 +52,27 @@ class ComponentHandle:
         return f"<ComponentHandle {self.class_descriptor.name} identity={self.identity}>"
 
 
-def snapshot_instance(instance, descriptor: ClassDescriptor) -> VRecord:
-    """State record of an instance, fields in declaration order."""
+def snapshot_instance(instance, descriptor: ClassDescriptor, env: TypeEnvironment) -> VRecord:
+    """State record of an instance, fields in declaration order. None is
+    null and a record held as state is itself, once it fits ``env``;
+    nothing else has a by-value form. Reference-valued state must stay out
+    of state_fields."""
+
+    def leaf(x, t: TypeRef) -> Value:
+        if x is None:
+            return NULL
+        if isinstance(x, VRecord) and isinstance(t, RecordType) and x.type_name == t.name:
+            if mismatches := type_check(x, t, env):
+                raise TypeMismatchError("; ".join(mismatches))
+            return x
+        if isinstance(t, InterfaceType):
+            raise TypeMismatchError("a live reference has no by-value form")
+        raise TypeMismatchError(f"{type(x).__name__} does not fit {typeref_name(t)}")
+
     fields = []
     for name, declared in descriptor.state_fields:
         try:
-            fields.append((name, to_value(getattr(instance, name), declared, _state_leaf)))
+            fields.append((name, to_value(getattr(instance, name), declared, leaf)))
         except (TypeMismatchError, AttributeError) as exc:
             raise InternalFaultError(f"cannot snapshot {descriptor.name}.{name}: {exc}") from None
     return VRecord(descriptor.name, fields)
-
-
-def _state_leaf(x, t: TypeRef) -> Value:
-    """None is null and a record held as state is itself; nothing else has a
-    by-value form. Reference-valued state must stay out of state_fields."""
-    if x is None:
-        return NULL
-    if isinstance(x, VRecord) and isinstance(t, RecordType) and x.type_name == t.name:
-        return x
-    if isinstance(t, InterfaceType):
-        raise TypeMismatchError("a live reference has no by-value form")
-    raise TypeMismatchError(f"{type(x).__name__} does not fit {typeref_name(t)}")

@@ -158,6 +158,8 @@ def cmd_describe(host: str, port: int, target: str, timeout: float, as_json: boo
 
 
 def cmd_call(host: str, port: int, target: str, method: str, literals, timeout: float) -> int:
+    if not method or any("\ud800" <= c <= "\udfff" for c in method):  # no UTF-8 form
+        raise LiteralParseError(f"a method name is non-empty text, got {method!r}")
     args = [parse_literal(token) for token in literals]
     call = encode_call(CallEnvelope(method, args))
     reply = decode_reply(post_call(host, port, f"/{target}", call, timeout))

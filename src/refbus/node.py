@@ -1,6 +1,7 @@
 """The runtime node: deploys live component instances behind interfaces,
 serves the HTTP endpoints, dispatches calls through skeletons, and
-marshals values per transmission policy.
+marshals values per transmission policy. It sends no request itself:
+``client`` sends calls, lookups and the snapshots of by-value proxies.
 
 One node per address space combines the server and client roles. That is
 what makes loopback unproxying work: a reference exported from here and
@@ -39,7 +40,6 @@ from .errors import (
     FaultError,
     IncompatibleComponentError,
     InternalFaultError,
-    NetworkError,
     NonInterfaceSignatureError,
     RefbusError,
     TypeMismatchError,
@@ -50,7 +50,6 @@ from .errors import (
 from .interfaces import (
     RESERVED_METHODS,
     RESOLVE_METHOD,
-    SNAPSHOT_METHOD,
     ClassDescriptor,
     InterfaceDescriptor,
     check_closure,
@@ -68,12 +67,11 @@ from .values import (
     TypeEnvironment,
     TypeRef,
     Value,
-    VRecord,
     VRef,
     to_value,
     typeref_name,
 )
-from .wire import CallEnvelope, ReplyEnvelope, decode_reply, encode_call, encode_reply
+from .wire import ReplyEnvelope, encode_reply
 from .wire import call_shape, loads, parse_args, read_call, receive, send_result, type_check
 from .wire import decode_call  # unused here; bench/tracer.py patches refbus.node.decode_call
 
@@ -289,8 +287,8 @@ class Node:
         Components and proxies at interface-typed positions follow the
         resolved transmission policy: BY_REFERENCE sends a reference
         (just-in-time deploying local components), BY_VALUE sends a state
-        record (snapshotting proxies remotely before the ``time.monotonic()``
-        ``deadline``, or within ``DEFAULT_TIMEOUT`` without one).
+        record (a proxy's comes from ``client.snapshot``, bounded by the
+        ``time.monotonic()`` ``deadline``).
         Everything else always passes by value; ``values.to_value``
         converts scalars and lists, and each list element takes the same
         position.
@@ -316,7 +314,7 @@ class Node:
                 policy = self.policies.resolve(position, iface_name, method_name, None, override)
                 if policy is BY_REFERENCE:
                     return VRef(x.ior)
-                return self._remote_snapshot(x, deadline)
+                return _client.snapshot(x, deadline)
             descriptor = self.class_descriptor_for(x)
             if descriptor is not None:
                 if not isinstance(t, InterfaceType):
@@ -329,29 +327,13 @@ class Node:
                 )
                 if policy is BY_REFERENCE:
                     return VRef(self.deploy_anonymous(target_iface, x))
-                return snapshot_instance(x, descriptor)
+                return snapshot_instance(x, descriptor, self.env)
             raise TypeMismatchError(
                 f"cannot marshal {type(x).__name__}: not a transmissible value "
                 "or registered component class"
             )
 
         return to_value(value, declared, leaf)
-
-    def _remote_snapshot(self, proxy: _client.Proxy, deadline: float | None) -> VRecord:
-        ior = proxy.ior
-        call = encode_call(CallEnvelope(SNAPSHOT_METHOD))
-        timeout = _client.DEFAULT_TIMEOUT if deadline is None else _client.remaining(deadline)
-        reply = decode_reply(
-            _client.post_call(ior.host, ior.port, f"/obj/{ior.object_number}", call, timeout)
-        )
-        if reply.fault is not None:
-            raise NetworkError(
-                f"snapshot of {ior.interface_name} at {ior.host}:{ior.port} failed: "
-                f"{reply.fault.code.value}: {reply.fault.message}"
-            )
-        if not isinstance(reply.result, VRecord):
-            raise NetworkError("remote snapshot did not return a record")
-        return reply.result
 
     # ------------------------------------------------------------------
     # request handling
@@ -456,7 +438,7 @@ class Node:
                 raise TypeMismatchError(f"{method} takes no arguments")
             if method == RESOLVE_METHOD:
                 return VRef(self.table.export(dep.component, dep.iface, self._host, self._port))
-            return snapshot_instance(dep.component.instance, dep.component.class_descriptor)
+            return snapshot_instance(dep.component.instance, dep.component.class_descriptor, self.env)
         sig = dep.iface.method(method)
         if sig is None:
             raise UnknownMethodError(f"no such method: {method}")

@@ -14,6 +14,7 @@ import re
 import socketserver
 import threading
 import time
+import types
 import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -352,6 +353,29 @@ def test_a_timeout_bounds_the_whole_reply(raw_reply):
     with pytest.raises(CallTimeout):
         http_get("127.0.0.1", port, "/x?wsdl", timeout=1.0)
     assert time.monotonic() - start < 1.5
+
+
+def test_a_deadline_that_passes_between_two_reads_of_a_reply_raises_call_timeout(
+    raw_reply, monkeypatch
+):
+    """A stub clock passes the deadline as the first read of a reply returns:
+    the next read raises CallTimeout before it waits, though the peer's
+    close is already there to read, which would be a truncated reply."""
+    now = 0.0
+    read = refbus.client._DeadlineReader.readinto
+
+    def read_then_pass_the_deadline(self, buffer):
+        nonlocal now
+        count = read(self, buffer)
+        now += 60.0
+        return count
+
+    monkeypatch.setattr(refbus.client, "time", types.SimpleNamespace(monotonic=lambda: now))
+    monkeypatch.setattr(refbus.client._DeadlineReader, "readinto", read_then_pass_the_deadline)
+    port = raw_reply(b"HTTP/1.1 200 OK\r\nContent-Length: 7\r\n\r\n")
+    with pytest.raises(CallTimeout) as info:
+        http_get("127.0.0.1", port, "/x?wsdl", timeout=5)
+    assert str(info.value) == "the deadline passed before the next request or socket operation"
 
 
 def test_a_reply_without_content_length_is_read_to_close(raw_reply):

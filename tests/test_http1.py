@@ -3,6 +3,7 @@ requests and by the client against replies."""
 
 from __future__ import annotations
 
+import io
 import json
 import socket
 import tracemalloc
@@ -12,6 +13,7 @@ import pytest
 from refbus import NetworkError
 from refbus.client import http_get
 from refbus.http1 import MAX_BODY_BYTES, MAX_HEADERS, MAX_LINE, Malformed, body_length
+from refbus.http1 import read_request, request_bytes
 
 # Header blocks, between the start line and the empty line, that both ends
 # refuse, with the text of the refusal. The client accepted the first three
@@ -128,3 +130,18 @@ def test_a_reply_read_to_the_close_holds_no_more_than_the_cap(raw_reply):
     finally:
         tracemalloc.stop()
     assert peak < 40 << 20
+
+
+def test_one_empty_line_before_a_request_line_is_skipped():
+    """RFC 9112 §2.2 lets one empty line precede a request line; a second
+    is read as the request line, and refused."""
+    request = b"GET /bob?wsdl HTTP/1.1\r\nHost: x\r\n\r\n"
+    assert read_request(None, io.BytesIO(b"\r\n" + request)) == ("GET", "/bob?wsdl", True, b"")
+    with pytest.raises(Malformed, match=r"^a request line is METHOD target HTTP/1\.x$"):
+        read_request(None, io.BytesIO(b"\r\n\n" + request))
+
+
+def test_an_ipv6_literal_host_is_bracketed_in_the_host_field():
+    """As RFC 3986 §3.2.2 writes an IP literal in an authority."""
+    head = request_bytes("GET", "/", "::1", 8080, None)
+    assert head == b"GET / HTTP/1.1\r\nHost: [::1]:8080\r\n\r\n"

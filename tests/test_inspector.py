@@ -141,6 +141,17 @@ def test_call_bad_literal_exit_4(bob_node, capsys):
     assert "literal" in err
 
 
+@pytest.mark.parametrize("method", ["", "get\udcff"], ids=["empty", "not-text"])
+def test_a_method_name_no_call_can_carry_is_a_usage_error(capsys, method):
+    """An empty method name raised ValueError, and one that is not valid
+    text (as ``$'get\\xff'`` reaches argv) UnicodeEncodeError: a traceback
+    and exit 1. Both are refused before any I/O; nothing listens on port 1,
+    so exit 4 also shows that nothing was sent."""
+    code, out, err = _run(capsys, "127.0.0.1:1", "call", "bob", method)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"refbus-inspect: a method name is non-empty text, got {method!r}\n"
+
+
 def test_unreachable_host_exit_2(capsys):
     # reserve a port, then close it so nothing is listening
     probe = socket.socket()

@@ -24,11 +24,13 @@ from refbus import (
     IncompatibleComponentError,
     InterfaceDescriptor,
     InterfaceType,
+    InternalFaultError,
     MethodSig,
     NameInUseError,
     Node,
     NonInterfaceSignatureError,
     Prim,
+    RecordType,
 )
 from refbus.interfaces import describe
 from refbus.policy import RETURN, ParamPos
@@ -878,6 +880,60 @@ def test_an_instance_missing_state_faults_where_it_is_copied(make_node):
     for path, method in (("/mary", "getSpouse"), ("/half", "__snapshot")):
         reply = _call(node, path, method)
         assert (reply.fault.code, reply.fault.message) == (FaultCode.INTERNAL, message)
+
+
+class Shape:
+    def __init__(self, pos):
+        self.pos = pos
+        self.kept = None
+
+    def me(self):
+        return self
+
+    def keep(self, other):
+        self.kept = other
+
+
+ISHAPE = InterfaceDescriptor(
+    "IShape",
+    [
+        MethodSig("me", (), InterfaceType("IShape")),
+        MethodSig("keep", (InterfaceType("IShape"),), Prim.NULL),
+    ],
+)
+
+
+def _shape_node(make_node):
+    node = make_node(demo=False)
+    node.register_record("Pt", [("x", Prim.I64)])
+    node.register_interface(ISHAPE)
+    shape_class = ClassDescriptor("Shape", [("pos", RecordType("Pt"))], ISHAPE.methods)
+    node.register_class(Shape, shape_class)
+    return node
+
+
+def test_a_held_record_that_does_not_fit_its_state_type_is_not_copied(make_node):
+    """State holding a record whose field misfits the record type faults
+    with the "cannot snapshot" text wherever it would be copied: a
+    __snapshot, a by-value return and a by-value argument, which is not
+    sent. A fitting record is copied as it is held. Before, a held record
+    was sent unchecked."""
+    server, consumer = _shape_node(make_node), _shape_node(make_node)
+    good, bad = VRecord("Pt", [("x", VInt(1))]), VRecord("Pt", [("x", VStr("oops"))])
+    keeper = Shape(good)
+    server.deploy("IShape", keeper, "good")
+    server.deploy("IShape", Shape(bad), "bad")
+    message = "cannot snapshot Shape.pos: $.x: expected i64, got str"
+    for method in ("__snapshot", "me"):
+        assert _call(server, "/good", method).result == VRecord("Shape", [("pos", good)])
+        reply = _call(server, "/bad", method)
+        assert (reply.fault.code, reply.fault.message) == (FaultCode.INTERNAL, message)
+    proxy = consumer.get_component_by_name("good", server.host, server.port)
+    with pytest.raises(InternalFaultError) as info:
+        proxy.keep(Shape(bad))
+    assert str(info.value) == message and keeper.kept is None
+    proxy.keep(Shape(good))
+    assert keeper.kept.pos == good
 
 
 def test_marshal_none_is_null_at_reference_positions(make_node):
