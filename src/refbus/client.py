@@ -6,7 +6,8 @@ Each request takes a fresh connection, opened by ``http.client`` (its host
 check, ``TCP_NODELAY`` and audit event), then leaves in one write; ``http1``
 frames the request and reads the reply, under the rules the node reads
 requests by. A reply it refuses (``http1.Malformed``, ``http1.Truncated``)
-reaches the caller as NetworkError.
+reaches the caller as NetworkError. The transport loads on a process's
+first request, so a node that only serves never loads ``http.client``.
 
 A proxy forwards interface-method calls to the component its Ior points
 at. Incoming references materialize either to an interned proxy or, when
@@ -19,7 +20,6 @@ duplicated.
 from __future__ import annotations
 
 import functools
-import http.client
 import io
 import socket
 import time
@@ -110,6 +110,10 @@ def _http_request(host, port, method, path, body: bytes | None, timeout: float) 
     whole request: the connect, the send and every recv get only the time
     that is left. Nothing is retried; every refusal, another status and a
     host with no IDNA form included, is a NetworkError."""
+    # Imported here, not at module level: a node that only serves never
+    # loads http.client, nor the ssl and email packages it imports.
+    import http.client
+
     deadline = time.monotonic() + timeout
     try:
         conn = http.client.HTTPConnection(host, port, timeout=timeout)

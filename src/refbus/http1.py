@@ -161,8 +161,10 @@ def read_reply(rfile) -> tuple[int, bytes]:
 
 
 def request_bytes(method: str, target: str, host: str, port: int, body: bytes | None) -> bytes:
-    """The whole request: request line, Host and, with a body, its
-    Content-Type and Content-Length, then the body. Malformed for a target
+    """The whole request: request line, Host, ``Connection: close`` (each
+    request takes its own connection, and RFC 9112 §9.3 asks a client that
+    keeps none open to say so) and, with a body, its Content-Type and
+    Content-Length, then the body. Malformed for a target
     that is not printable ASCII without spaces; UnicodeError for a host
     that has no IDNA form."""
     if not _TARGET.fullmatch(target):
@@ -170,7 +172,9 @@ def request_bytes(method: str, target: str, host: str, port: int, body: bytes | 
     name = host.encode("ascii" if host.isascii() else "idna")
     if b":" in name:  # an IPv6 literal
         name = b"[%s]" % name
-    head = b"%s %s HTTP/1.1\r\nHost: %s:%d\r\n" % (method.encode(), target.encode(), name, port)
+    head = b"%s %s HTTP/1.1\r\nHost: %s:%d\r\nConnection: close\r\n" % (
+        method.encode(), target.encode(), name, port,
+    )
     if body is None:
         return head + b"\r\n"
     return b"%sContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s" % (

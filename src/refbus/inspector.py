@@ -220,6 +220,8 @@ def main(argv=None) -> int:
         host, port = _parse_target_address(ns.target)
         if ns.command == "list":
             return cmd_list(host, port, ns.timeout)
+        if not ns.name:  # "/" is the listing's path, not a deployment's
+            raise LiteralParseError("a deployment name is a name or obj/N, got ''")
         if ns.command == "describe":
             return cmd_describe(host, port, ns.name, ns.timeout, ns.json)
         return cmd_call(host, port, ns.name, ns.method, ns.args, ns.timeout)

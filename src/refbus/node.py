@@ -22,7 +22,6 @@ reads each request and writes each reply (see ``_Handler``).
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import socket
@@ -504,6 +503,8 @@ def _serve_until_interrupted(node: Node):
 
 def main(argv=None, *, wait=_serve_until_interrupted) -> int:
     """Run a bare node until interrupted."""
+    import argparse
+
     parser = argparse.ArgumentParser(prog="refbus-node", description=main.__doc__)
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0)

@@ -225,15 +225,16 @@ def make_node():
         node.stop()
 
 
-def _read_request(conn: socket.socket):
-    """Read one HTTP request, its head and Content-Length body, off ``conn``."""
+def _read_request(conn: socket.socket) -> bytes:
+    """Read one HTTP request, its head and Content-Length body, off ``conn``;
+    returns the head without the empty line that ends it."""
     data = b""
     while True:
         head, end, body = data.partition(b"\r\n\r\n")
         if end:
             length = re.search(rb"(?i)\r\ncontent-length:\s*(\d+)", head)
             if len(body) >= (int(length[1]) if length else 0):
-                return
+                return head
         chunk = conn.recv(65536)
         if not chunk:
             raise ConnectionError("the client hung up")
@@ -243,9 +244,10 @@ def _read_request(conn: socket.socket):
 @pytest.fixture
 def raw_reply():
     """Factory for local sockets that each read one HTTP request, answer it
-    with the given raw bytes and close; returns the port. At teardown, no
-    socket may have had a second connection: calls are at-most-once."""
-    listeners, threads = [], []
+    with the given raw bytes and close; returns the port. The heads of the
+    requests read so far are in ``.heads``. At teardown, no socket may have
+    had a second connection: calls are at-most-once."""
+    listeners, threads, heads = [], [], []
 
     def serve(reply: bytes, *, bytewise: bool = False, delay: float = 0.001) -> int:
         """``bytewise`` sends the reply one byte per write, ``delay`` seconds
@@ -259,7 +261,7 @@ def raw_reply():
                 with conn:
                     conn.settimeout(5)
                     conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                    _read_request(conn)
+                    heads.append(_read_request(conn))
                     if bytewise:
                         for i in range(len(reply)):
                             conn.sendall(reply[i : i + 1])
@@ -273,6 +275,7 @@ def raw_reply():
         threads[-1].start()
         return listener.getsockname()[1]
 
+    serve.heads = heads
     yield serve
     for thread in threads:
         thread.join(timeout=10)

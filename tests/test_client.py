@@ -378,6 +378,19 @@ def test_a_deadline_that_passes_between_two_reads_of_a_reply_raises_call_timeout
     assert str(info.value) == "the deadline passed before the next request or socket operation"
 
 
+def test_each_request_asks_for_its_connection_to_be_closed(raw_reply):
+    """RFC 9112 §9.3: a client that keeps no connection open sends the close
+    option in every request. Without it, the node's thread read on until
+    the client's FIN came."""
+    port = raw_reply(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}")
+    call = encode_call(CallEnvelope("getName", []))
+    post_call("127.0.0.1", port, "/bob", call, timeout=5)
+    assert raw_reply.heads == [
+        b"POST /bob HTTP/1.1\r\nHost: 127.0.0.1:%d\r\nConnection: close\r\n"
+        b"Content-Type: application/json\r\nContent-Length: %d" % (port, len(call))
+    ]
+
+
 def test_a_reply_without_content_length_is_read_to_close(raw_reply):
     port = raw_reply(b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n{\"a\":1}")
     assert http_get("127.0.0.1", port, "/x?wsdl", timeout=5) == '{"a":1}'

@@ -144,4 +144,4 @@ def test_one_empty_line_before_a_request_line_is_skipped():
 def test_an_ipv6_literal_host_is_bracketed_in_the_host_field():
     """As RFC 3986 §3.2.2 writes an IP literal in an authority."""
     head = request_bytes("GET", "/", "::1", 8080, None)
-    assert head == b"GET / HTTP/1.1\r\nHost: [::1]:8080\r\n\r\n"
+    assert head == b"GET / HTTP/1.1\r\nHost: [::1]:8080\r\nConnection: close\r\n\r\n"

@@ -152,6 +152,18 @@ def test_a_method_name_no_call_can_carry_is_a_usage_error(capsys, method):
     assert err == f"refbus-inspect: a method name is non-empty text, got {method!r}\n"
 
 
+@pytest.mark.parametrize(
+    "command", [["describe", ""], ["call", "", "getName"]], ids=["describe", "call"]
+)
+def test_an_empty_deployment_name_is_a_usage_error(capsys, command):
+    """describe of an empty name fetched the listing (GET /?wsdl) and exited
+    5 with "malformed descriptor (KeyError: 'interface')". Both commands
+    refuse it before any I/O; nothing listens on port 1."""
+    code, out, err = _run(capsys, "127.0.0.1:1", *command)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "refbus-inspect: a deployment name is a name or obj/N, got ''\n"
+
+
 def test_unreachable_host_exit_2(capsys):
     # reserve a port, then close it so nothing is listening
     probe = socket.socket()

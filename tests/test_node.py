@@ -1118,6 +1118,60 @@ def test_python_m_refbus_node_serves():
                 proc.wait(timeout=10)
 
 
+_SERVE_ONLY = """
+import json, socket, sys
+sys.path.insert(0, sys.argv[1])
+from refbus import ClassDescriptor, InterfaceDescriptor, MethodSig, Node, Prim, http1
+from refbus.values import VInt
+from refbus.wire import CallEnvelope, decode_reply, encode_call
+
+ADD = MethodSig("add", (Prim.I64, Prim.I64), Prim.I64)
+
+class Adder:
+    def add(self, a, b):
+        return a + b
+
+def ask(node, method, target, body=None):
+    with socket.create_connection((node.host, node.port), timeout=5) as sock:
+        sock.sendall(http1.request_bytes(method, target, node.host, node.port, body))
+        with sock.makefile("rb") as rfile:
+            return http1.read_reply(rfile)
+
+server, caller = Node("127.0.0.1", 0).start(), Node("127.0.0.1", 0).start()
+try:
+    server.register_interface(InterfaceDescriptor("IAdder", [ADD]))
+    server.register_class(Adder, ClassDescriptor("Adder", methods=[ADD]))
+    server.deploy("IAdder", Adder(), "adder")
+    call = encode_call(CallEnvelope("add", [VInt(2), VInt(3)])).encode()
+    status, body = ask(server, "POST", "/adder", call)
+    print(status, decode_reply(body.decode()).result.value)
+    status, body = ask(server, "GET", "/adder?wsdl")
+    print(status, json.loads(body)["interface"])
+    print(*[m for m in ("http.client", "ssl", "argparse") if m in sys.modules])
+    caller.register_interface(InterfaceDescriptor("IAdder", [ADD]))
+    print(caller.get_component_by_name("adder", server.host, server.port).add(2, 3))
+finally:
+    caller.stop()
+    server.stop()
+"""
+
+
+def test_a_node_that_only_serves_loads_no_client_stack():
+    """A node that answers a call and a ?wsdl GET, sent from a raw socket,
+    has not loaded http.client (nor ssl with it) or argparse; the first
+    request a node sends loads the client transport, and works. ``-S``
+    keeps site-packages from loading any of them first."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(refbus.node.__file__).resolve().parents[1])
+    argv = [sys.executable, "-X", "dev", "-W", "error", "-S", "-c", _SERVE_ONLY, src]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == ["200 5", "200 IAdder", "", "5"]
+
+
 def test_malformed_bodies_yield_fault_envelopes(bob_node):
     import http.client
 
