@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import json
+import selectors
 import socket
 import socketserver
 import struct
@@ -140,6 +141,8 @@ class Node:
         return self._port
 
     def start(self) -> "Node":
+        """Bind and serve on a thread of the node's own; a no-op when
+        running."""
         if self._server is not None:
             return self
         self._server = _Server(self)
@@ -154,7 +157,7 @@ class Node:
         )
         self._port = self._server.server_address[1]
         self._thread = threading.Thread(
-            target=lambda: self._server.serve_forever(poll_interval=0.05),
+            target=self._server.serve,
             name=f"refbus-node-{self._port}",
             daemon=True,
         )
@@ -162,11 +165,14 @@ class Node:
         return self
 
     def stop(self):
+        """Stop accepting, and close the listening socket once the accept
+        loop has ended. A connection still open answers no further request:
+        its handler closes it after reading one, and nothing runs."""
         if self._server is None:
             return
-        self._server.shutdown()
-        self._server.server_close()
+        self._server.stop()
         self._thread.join()
+        self._server.server_close()
         self._server = None
         self._thread = None
 
@@ -475,6 +481,8 @@ class _Handler(socketserver.BaseRequestHandler):
         except ValueError as exc:
             http1.write_reply(sock, 400, json.dumps({"error": str(exc)}, separators=(",", ":")), False)
             return False
+        if self.server.stopped:
+            return False  # the node stopped while this request was on its way
         path, _, query = target.partition("?")
         status, text = self.server.node.handle_request(method, path, query, body)
         keep_open = keep_open and status == 200  # any other may leave a body unread
@@ -484,14 +492,45 @@ class _Handler(socketserver.BaseRequestHandler):
 
 class _Server(socketserver.ThreadingTCPServer):
     """Accepts connections for a node, each served by a _Handler on its own
-    daemon thread."""
+    daemon thread.
+
+    ``serve`` is the accept loop: it blocks on the listening socket and on
+    one end of a socket pair, and ``stop`` writes to the other end, so
+    ``Node.stop`` returns as soon as the loop sees it. Each accept goes
+    through ``process_request``, which starts the connection's thread.
+    """
 
     allow_reuse_address = True
     daemon_threads = True
 
     def __init__(self, node: Node):
         self.node = node
+        self.stopped = False
+        # before the bind: where it fails, TCPServer calls server_close
+        self._waker, self._wakee = socket.socketpair()
         super().__init__((node.host, node.port), _Handler)
+
+    def serve(self):
+        """Accept connections until ``stop``."""
+        with selectors.DefaultSelector() as selector:
+            selector.register(self, selectors.EVENT_READ)
+            selector.register(self._wakee, selectors.EVENT_READ)
+            while True:
+                ready = selector.select()
+                if self.stopped:
+                    return
+                if ready:  # only the listening socket, until stop
+                    self._handle_request_noblock()
+
+    def stop(self):
+        """Mark the server stopped and end ``serve``."""
+        self.stopped = True
+        self._waker.send(b"\0")
+
+    def server_close(self):
+        super().server_close()
+        self._waker.close()
+        self._wakee.close()
 
 
 def _serve_until_interrupted(node: Node):

@@ -404,18 +404,9 @@ _LIST_HEAD = '{"t":"list","v":['
 
 
 def _fits(xs, row) -> bool:
+    """Whether ``xs`` are payloads the text path writes and reads at
+    ``row``: each of exactly its Python type, and all within its rule."""
     return not xs or (set(map(type, xs)) == {row[0]} and row[1](xs))
-
-
-def _accept(payloads: list, row) -> list | None:
-    """Python values of the "v" payloads of a list of ``row``'s scalar;
-    None where one does not fit."""
-    if row[0] is float and int in set(map(type, payloads)):
-        try:  # VFloat takes a JSON integer too
-            payloads = [float(v) if type(v) is int else v for v in payloads]
-        except OverflowError:
-            return None
-    return payloads if _fits(payloads, row) else None
 
 
 def _encode(x, t: TypeRef, marshal: Marshal) -> str:
@@ -471,6 +462,9 @@ def _read_list(text: str, start: int, end: int, t: ListOf) -> list | None:
     closing ``]}`` at ``end``; None where that text is not the canonical
     text of a list of ``t``, or a payload does not fit.
 
+    ``_fits`` decides the payloads, as it does for ``_encode``: a JSON
+    integer in a list of f64, which ``_encode`` never writes, is declined.
+
     Each separator between elements becomes a comma, and one ``json.loads``
     parses the payloads as a bare array. Numbers and bools hold no quote,
     comma or bracket, so an array of exactly one more number or bool than
@@ -492,7 +486,7 @@ def _read_list(text: str, start: int, end: int, t: ListOf) -> list | None:
         payloads = json.loads("[" + joined + "]", parse_constant=_reject_constant)
         # each replaced separator left len(sep) - 1 characters fewer
         if len(payloads) == (len(pieces) - len(joined)) // (len(sep) - 1) + 1:
-            return _accept(payloads, row)
+            return payloads if _fits(payloads, row) else None
     except (ValueError, RecursionError):
         pass
     return None

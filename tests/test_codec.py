@@ -1232,3 +1232,43 @@ def test_text_reader_matches_the_parsed_path(world, monkeypatch):
     assert seen["call declined fault"] > 500 and seen["reply declined raised"] > 500, seen
     assert seen["call declined ok"] > 10 and seen["reply declined ok"] > 10, seen
     assert seen["call read ok"] > 300 and seen["reply read ok"] > 300, seen
+
+
+# (payloads of a list<f64> no refbus writer sends, the node's reply text,
+# what the component and the caller get): canonical f64 text always holds
+# a "." or an exponent, so a JSON integer comes only from another writer
+_INTEGER_F64S = [
+    (
+        ["3", "1.5", "-0"],
+        _reply_text(_list_text("f64", ["3.0", "1.5", "0.0"])),
+        ("ok", [3.0, 1.5, 0.0]),
+    ),
+    (
+        ["1.5", "1" + "0" * 400],
+        _fault("BAD_ENVELOPE", "$.args[0][1]: VFloat out of range: integer too large for f64"),
+        ("raised", BadEnvelopeError, "$.result[1]: VFloat out of range: integer too large for f64"),
+    ),
+]
+
+
+def test_integer_f64_payloads_are_declined_to_the_parsed_path(world, monkeypatch):
+    """The text reader declines a list<f64> call body or reply that holds a
+    JSON integer, and the parsed path answers it: each integer reads as a
+    float, and one too large for f64 is BAD_ENVELOPE."""
+    node, _, _ = world
+    t = ListOf(Prim.F64)
+    taker, proxy = _deploy_taker(node, "integer_f64s", (t,), t)
+    for payloads, text, expected in _INTEGER_F64S:
+        body = _call_text(_list_text("f64", payloads)).encode()
+        reply = _reply_text(_list_text("f64", payloads)).encode()
+        assert codec.read_call(body, proxy.iface.method) is None, payloads
+        assert codec.read_reply(reply, t) is None, payloads
+        taker.received.clear()
+        assert node.handle_request("POST", "/integer_f64s", "", body) == (200, text)
+        received = [expected[1]] if expected[0] == "ok" else []
+        assert len(taker.received) == len(received), payloads
+        assert all(map(same, taker.received, received)), payloads
+        monkeypatch.setattr(refbus.client, "post_call", lambda *args: reply)
+        got = outcome(lambda: proxy.take([]))
+        assert got[:1] == expected[:1], payloads
+        assert same(got[1], expected[1]) if got[0] == "ok" else got == expected, payloads
