@@ -23,7 +23,6 @@ import functools
 import io
 import socket
 import time
-from dataclasses import dataclass
 from threading import TIMEOUT_MAX
 
 from . import http1
@@ -42,6 +41,7 @@ from .policy import CallOverride, ParamPos
 from .registry import validate_name
 from .values import (
     SCALAR_TAG_BY_CLASS,
+    Record,
     Value,
     VList,
     VNull,
@@ -73,16 +73,16 @@ def remaining(deadline: float) -> float:
     return left
 
 
-@dataclass(frozen=True)
-class CallOptions:
+class CallOptions(Record):
     """Options for one invocation: per-call policy override, and a timeout
     that bounds the whole call, remote snapshots of its arguments included."""
 
-    override: CallOverride | None = None
-    timeout: float = DEFAULT_TIMEOUT
+    __slots__ = ("override", "timeout")
 
-    def __post_init__(self):
-        _check_timeout(self.timeout)
+    def __init__(self, override: CallOverride | None = None, timeout: float = DEFAULT_TIMEOUT):
+        _check_timeout(timeout)
+        object.__setattr__(self, "override", override)
+        object.__setattr__(self, "timeout", timeout)
 
 
 DEFAULT_OPTIONS = CallOptions()

@@ -12,12 +12,12 @@ interfaces and record fields (check_closure).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterable
 
 from .values import (
     ListOf,
     Prim,
+    Record,
     RecordType,
     TypeEnvironment,
     TypeRef,
@@ -30,11 +30,8 @@ SNAPSHOT_METHOD = "__snapshot"
 RESERVED_METHODS = frozenset({RESOLVE_METHOD, SNAPSHOT_METHOD})
 
 
-@dataclass(frozen=True)
-class MethodSig:
-    name: str
-    params: tuple[TypeRef, ...] = ()
-    returns: TypeRef = Prim.NULL
+class MethodSig(Record):
+    __slots__ = ("name", "params", "returns")
 
     def __init__(self, name: str, params: Iterable[TypeRef] = (), returns: TypeRef = Prim.NULL):
         if not name:
@@ -52,10 +49,8 @@ def _check_unique_methods(owner: str, methods: tuple[MethodSig, ...]):
         raise ValueError(f"duplicate method names in {owner!r} (no overloading)")
 
 
-@dataclass(frozen=True)
-class InterfaceDescriptor:
-    name: str
-    methods: tuple[MethodSig, ...] = ()
+class InterfaceDescriptor(Record):
+    __slots__ = ("name", "methods", "_by_name")
 
     def __init__(self, name: str, methods: Iterable[MethodSig] = ()):
         if not name:
@@ -70,17 +65,14 @@ class InterfaceDescriptor:
         return self._by_name.get(name)
 
 
-@dataclass(frozen=True)
-class ClassDescriptor:
+class ClassDescriptor(Record):
     """Shape of a concrete component class: snapshot fields plus methods.
 
     Used for compatibility checks and state snapshots only; a class name is
     never a legal signature type.
     """
 
-    name: str
-    state_fields: tuple[tuple[str, TypeRef], ...] = ()
-    methods: tuple[MethodSig, ...] = ()
+    __slots__ = ("name", "state_fields", "methods")
 
     def __init__(self, name, state_fields=(), methods: Iterable[MethodSig] = ()):
         if not name:
@@ -108,13 +100,15 @@ def check_compat(cls: ClassDescriptor, iface: InterfaceDescriptor) -> list[Metho
     return [m for m in iface.methods if by_name.get(m.name) != m]
 
 
-@dataclass(frozen=True)
-class ClosureViolation:
-    interface: str
-    method: str
-    position: str
-    offending: str
-    reason: str
+class ClosureViolation(Record):
+    __slots__ = ("interface", "method", "position", "offending", "reason")
+
+    def __init__(self, interface: str, method: str, position: str, offending: str, reason: str):
+        object.__setattr__(self, "interface", interface)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "offending", offending)
+        object.__setattr__(self, "reason", reason)
 
     def __str__(self):
         return (

@@ -23,10 +23,11 @@ components always travel by value regardless of what resolution says.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
 from typing import Mapping, Union
+
+from .values import Record
 
 
 class TransmissionPolicy(Enum):
@@ -43,20 +44,19 @@ def _check_policy(policy) -> None:
         raise TypeError(f"a policy is BY_VALUE or BY_REFERENCE, got {policy!r}")
 
 
-@dataclass(frozen=True)
-class ParamPos:
-    index: int
+class ParamPos(Record):
+    __slots__ = ("index",)
 
-    def __post_init__(self):
-        if isinstance(self.index, bool) or not isinstance(self.index, int):
-            raise TypeError(f"parameter index must be an int, got {self.index!r}")
-        if self.index < 0:
+    def __init__(self, index: int):
+        if isinstance(index, bool) or not isinstance(index, int):
+            raise TypeError(f"parameter index must be an int, got {index!r}")
+        if index < 0:
             raise ValueError("parameter index must be non-negative")
+        object.__setattr__(self, "index", index)
 
 
-@dataclass(frozen=True)
-class ReturnPos:
-    pass
+class ReturnPos(Record):
+    __slots__ = ()
 
 
 RETURN = ReturnPos()
@@ -64,22 +64,30 @@ RETURN = ReturnPos()
 Position = Union[ParamPos, ReturnPos]
 
 
-@dataclass(frozen=True)
-class CallOverride:
+class CallOverride(Record):
     """Per-invocation policy overrides for the arguments of exactly one
     call. ``per_param`` is kept as a read-only copy, so the checks made
     here hold."""
 
-    per_param: Mapping[int, TransmissionPolicy] = field(default_factory=dict)
-    whole_call: TransmissionPolicy | None = None
+    __slots__ = ("per_param", "whole_call")
 
-    def __post_init__(self):
-        object.__setattr__(self, "per_param", MappingProxyType(dict(self.per_param)))
-        for index, policy in self.per_param.items():
+    def __init__(
+        self,
+        per_param: Mapping[int, TransmissionPolicy] = MappingProxyType({}),
+        whole_call: TransmissionPolicy | None = None,
+    ):
+        per_param = MappingProxyType(dict(per_param))
+        for index, policy in per_param.items():
             ParamPos(index)
             _check_policy(policy)
-        if self.whole_call is not None:
-            _check_policy(self.whole_call)
+        if whole_call is not None:
+            _check_policy(whole_call)
+        object.__setattr__(self, "per_param", per_param)
+        object.__setattr__(self, "whole_call", whole_call)
+
+    def __reduce__(self):
+        # a mappingproxy neither pickles nor deep-copies; the dict it shows does
+        return CallOverride, (dict(self.per_param), self.whole_call)
 
 
 # The stored scopes, in dump() order, and how dump() spells their keys.

@@ -17,20 +17,34 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass, field
 
 from .component import ComponentHandle
 from .errors import InvalidNameError, NameInUseError, UnknownServiceError
 from .interfaces import InterfaceDescriptor
-from .values import Ior
+from .values import Ior, Record
 
 
-@dataclass
-class Deployment:
-    component: ComponentHandle
-    iface: InterfaceDescriptor
-    object_number: int | None = None
-    names: set[str] = field(default_factory=set)
+class Deployment(Record):
+    """One (component, interface) pair a node serves; the table updates its
+    object number and names in place, so a deployment is no immutable
+    record and has no hash."""
+
+    __slots__ = ("component", "iface", "object_number", "names")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        component: ComponentHandle,
+        iface: InterfaceDescriptor,
+        object_number: int | None = None,
+        names: set[str] | None = None,
+    ):
+        self.component = component
+        self.iface = iface
+        self.object_number = object_number
+        self.names = set() if names is None else names
 
 
 def validate_name(name: str):

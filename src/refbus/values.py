@@ -12,8 +12,8 @@ bit-exactly, so 0.0 and -0.0 differ.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Union
 
 from .errors import TypeMismatchError
@@ -25,69 +25,124 @@ I64_MIN = -(2**63)
 I64_MAX = 2**63 - 1
 
 
-@dataclass(frozen=True)
-class Ior:
+class Record:
+    """Base of refbus's data classes: values, types, descriptors, envelopes.
+
+    A subclass names its fields in ``__slots__``, in constructor order, and
+    its ``__init__`` checks its arguments and sets each field once through
+    ``object.__setattr__``. A slot whose name starts with ``_`` holds what
+    ``__init__`` derives from the fields, and is no field. Two records are
+    ``==`` when they are of the same class with equal fields, and equal
+    records hash alike. ``repr`` is ``Name(field=value, ...)``. Assigning
+    or deleting an attribute raises AttributeError, so copies and pickles
+    rebuild a record through its constructor, checks included.
+
+    Plain code rather than ``dataclasses``: that module imports ``inspect``
+    and compiles methods for every class on every import, which once made
+    up a third of the time ``import refbus`` took.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(
+            name
+            for klass in reversed(cls.__mro__)
+            for name in vars(klass).get("__slots__", ())
+            if not name.startswith("_")
+        )
+        # One getter per class reads every field in C; a loop of getattr
+        # calls on each == or hash cost three times as much.
+        cls._key = attrgetter(*cls._fields) if cls._fields else staticmethod(lambda record: ())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class Ior(Record):
     """Remote reference: where a component lives and the interface it exposes.
 
     The object number identifies the component uniquely within its node;
     host and port identify the node itself.
     """
 
-    host: str
-    port: int
-    object_number: int
-    interface_name: str
+    __slots__ = ("host", "port", "object_number", "interface_name")
 
-    def __post_init__(self):
-        port, number = self.port, self.object_number
-        if not isinstance(self.host, str) or not self.host:
+    def __init__(self, host: str, port: int, object_number: int, interface_name: str):
+        if not isinstance(host, str) or not host:
             raise ValueError("Ior host must be a non-empty string")
         if isinstance(port, bool) or not isinstance(port, int) or not 1 <= port <= 65535:
             raise ValueError(f"Ior port out of range: {port!r}")
-        if isinstance(number, bool) or not isinstance(number, int) or not 0 <= number <= I64_MAX:
-            raise ValueError(f"Ior object number out of range: {number!r}")
-        if not isinstance(self.interface_name, str) or not self.interface_name:
+        if (
+            isinstance(object_number, bool)
+            or not isinstance(object_number, int)
+            or not 0 <= object_number <= I64_MAX
+        ):
+            raise ValueError(f"Ior object number out of range: {object_number!r}")
+        if not isinstance(interface_name, str) or not interface_name:
             raise ValueError("Ior interface name must be a non-empty string")
+        object.__setattr__(self, "host", host)
+        object.__setattr__(self, "port", port)
+        object.__setattr__(self, "object_number", object_number)
+        object.__setattr__(self, "interface_name", interface_name)
 
 
-@dataclass(frozen=True)
-class VNull:
-    pass
+class VNull(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VBool:
-    value: bool
+class VBool(Record):
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if not isinstance(self.value, bool):
-            raise ValueError(f"VBool requires a bool, got {type(self.value).__name__}")
-
-
-@dataclass(frozen=True)
-class VInt:
-    value: int
-
-    def __post_init__(self):
-        if isinstance(self.value, bool) or not isinstance(self.value, int):
-            raise ValueError(f"VInt requires an int, got {type(self.value).__name__}")
-        if not I64_MIN <= self.value <= I64_MAX:
-            raise ValueError(f"VInt out of 64-bit signed range: {self.value}")
+    def __init__(self, value: bool):
+        if not isinstance(value, bool):
+            raise ValueError(f"VBool requires a bool, got {type(value).__name__}")
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class VFloat:
-    value: float
+class VInt(Record):
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if isinstance(self.value, bool) or not isinstance(self.value, (int, float)):
-            raise ValueError(f"VFloat requires a float, got {type(self.value).__name__}")
+    def __init__(self, value: int):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"VInt requires an int, got {type(value).__name__}")
+        if not I64_MIN <= value <= I64_MAX:
+            raise ValueError(f"VInt out of 64-bit signed range: {value}")
+        object.__setattr__(self, "value", value)
+
+
+class VFloat(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"VFloat requires a float, got {type(value).__name__}")
         try:
-            object.__setattr__(self, "value", float(self.value))
+            value = float(value)
         except OverflowError:
             raise ValueError("VFloat out of range: integer too large for f64") from None
-        if not math.isfinite(self.value):
+        if not math.isfinite(value):
             raise ValueError("VFloat must be finite (no NaN or infinity)")
+        object.__setattr__(self, "value", value)
 
     def __eq__(self, other):
         # Bit-exact, as the wire writes it: 0.0 and -0.0 are two values.
@@ -95,34 +150,33 @@ class VFloat:
             return NotImplemented
         return self.value.hex() == other.value.hex()
 
+    __hash__ = Record.__hash__
 
-@dataclass(frozen=True)
-class VStr:
-    value: str
 
-    def __post_init__(self):
-        if not isinstance(self.value, str):
-            raise ValueError(f"VStr requires a str, got {type(self.value).__name__}")
+class VStr(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: str):
+        if not isinstance(value, str):
+            raise ValueError(f"VStr requires a str, got {type(value).__name__}")
         try:  # valid Unicode text is what UTF-8 can encode
-            self.value.encode("utf-8")
+            value.encode("utf-8")
         except UnicodeEncodeError:
             raise ValueError("VStr must be valid Unicode text (no lone surrogates)") from None
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class VList:
-    items: tuple["Value", ...]
+class VList(Record):
+    __slots__ = ("items",)
 
     def __init__(self, items: Iterable["Value"] = ()):
         object.__setattr__(self, "items", tuple(items))
 
 
-@dataclass(frozen=True)
-class VRecord:
+class VRecord(Record):
     """Named record with ordered fields; field order is the wire order."""
 
-    type_name: str
-    fields: tuple[tuple[str, "Value"], ...]
+    __slots__ = ("type_name", "fields")
 
     def __init__(self, type_name: str, fields=()):
         if not type_name:
@@ -144,9 +198,11 @@ class VRecord:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
-class VRef:
-    ior: Ior
+class VRef(Record):
+    __slots__ = ("ior",)
+
+    def __init__(self, ior: Ior):
+        object.__setattr__(self, "ior", ior)
 
 
 Value = Union[VNull, VBool, VInt, VFloat, VStr, VList, VRecord, VRef]
@@ -164,19 +220,25 @@ class Prim(Enum):
     STR = "str"
 
 
-@dataclass(frozen=True)
-class ListOf:
-    elem: "TypeRef"
+class ListOf(Record):
+    __slots__ = ("elem",)
+
+    def __init__(self, elem: "TypeRef"):
+        object.__setattr__(self, "elem", elem)
 
 
-@dataclass(frozen=True)
-class RecordType:
-    name: str
+class RecordType(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class InterfaceType:
-    name: str
+class InterfaceType(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
 TypeRef = Union[Prim, ListOf, RecordType, InterfaceType]

@@ -20,7 +20,7 @@ texts around the envelope.
 Inbound, ``read_call`` and ``read_reply`` read the one argument of a call,
 or the result of a reply, declared ``readable``: where the body is the
 canonical text ``_encode`` writes, they read the payloads straight from it
-with one ``json.loads`` of a bare array, and build no element object.
+with one JSON parse of a bare array, and build no element object.
 Anything else they decline, before parsing or after, where a payload does
 not fit. Every other position takes the V* path in ``receive``: one walk
 of ``_parse_value`` parses it into a ``values.Value`` and checks it
@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from json.decoder import scanstring
-from json.encoder import encode_basestring
+from json.encoder import c_make_encoder, encode_basestring
 from typing import Any, Callable, Iterable
 
 from .errors import BadEnvelopeError, FaultCode
@@ -50,6 +49,7 @@ from .values import (
     Ior,
     ListOf,
     Prim,
+    Record,
     RecordType,
     TypeEnvironment,
     TypeRef,
@@ -62,16 +62,16 @@ from .values import (
 )
 
 
-@dataclass(frozen=True)
-class Fault:
-    code: FaultCode
-    message: str
+class Fault(Record):
+    __slots__ = ("code", "message")
+
+    def __init__(self, code: FaultCode, message: str):
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "message", message)
 
 
-@dataclass(frozen=True)
-class CallEnvelope:
-    method: str
-    args: tuple[Value, ...]
+class CallEnvelope(Record):
+    __slots__ = ("method", "args")
 
     def __init__(self, method: str, args: Iterable[Value] = ()):
         if not method:
@@ -80,16 +80,16 @@ class CallEnvelope:
         object.__setattr__(self, "args", tuple(args))
 
 
-@dataclass(frozen=True)
-class ReplyEnvelope:
+class ReplyEnvelope(Record):
     """Either a result or a fault, never both."""
 
-    result: Value | None = None
-    fault: Fault | None = None
+    __slots__ = ("result", "fault")
 
-    def __post_init__(self):
-        if (self.result is None) == (self.fault is None):
+    def __init__(self, result: Value | None = None, fault: Fault | None = None):
+        if (result is None) == (fault is None):
             raise ValueError("reply must carry exactly one of result or fault")
+        object.__setattr__(self, "result", result)
+        object.__setattr__(self, "fault", fault)
 
     @classmethod
     def ok(cls, result: Value) -> "ReplyEnvelope":
@@ -105,10 +105,17 @@ class ReplyEnvelope:
 _ENCODER = json.JSONEncoder(
     separators=(",", ":"), ensure_ascii=False, allow_nan=False, check_circular=False
 )
+# JSONEncoder.encode builds a C encoder on every call; this one is built
+# once, with the same settings. Builds without the C accelerator fall back.
+_C_ENCODE = None if c_make_encoder is None else c_make_encoder(
+    None, _ENCODER.default, encode_basestring, None, ":", ",", False, False, False
+)
 
 
 def _dumps(obj: Any) -> str:
-    return _ENCODER.encode(obj)
+    if _C_ENCODE is None:
+        return _ENCODER.encode(obj)
+    return "".join(_C_ENCODE(obj, 0))
 
 
 def _value_obj(v: Value) -> dict:
@@ -164,6 +171,10 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite number constant: {name}")
 
 
+# json.loads builds a decoder on every call that passes parse_constant
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def loads(text: str) -> Any:
     """The JSON data of a body, as text or UTF-8 bytes; BadEnvelopeError
     where it is not UTF-8 or not JSON."""
@@ -173,7 +184,9 @@ def loads(text: str) -> Any:
         except UnicodeDecodeError as exc:
             raise BadEnvelopeError(f"body is not valid UTF-8: {exc}") from None
     try:
-        return json.loads(text, parse_constant=_reject_constant)
+        if text.startswith("\ufeff"):  # as json.loads refuses it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except (ValueError, TypeError) as exc:
         raise BadEnvelopeError(f"invalid JSON: {exc}") from None
     except RecursionError:
@@ -465,10 +478,10 @@ def _read_list(text: str, start: int, end: int, t: ListOf) -> list | None:
     ``_fits`` decides the payloads, as it does for ``_encode``: a JSON
     integer in a list of f64, which ``_encode`` never writes, is declined.
 
-    Each separator between elements becomes a comma, and one ``json.loads``
-    parses the payloads as a bare array. Numbers and bools hold no quote,
-    comma or bracket, so an array of exactly one more number or bool than
-    there are separators proves that each piece was one payload.
+    Each separator between elements becomes a comma, and one parse reads
+    the payloads as a bare array. Numbers and bools hold no quote, comma or
+    bracket, so an array of exactly one more number or bool than there are
+    separators proves that each piece was one payload.
     """
     if not text.startswith(_LIST_HEAD, start, end):
         return None
@@ -483,7 +496,7 @@ def _read_list(text: str, start: int, end: int, t: ListOf) -> list | None:
     pieces = text[start + len(head) : end - 1]
     joined = pieces.replace(sep, ",")
     try:
-        payloads = json.loads("[" + joined + "]", parse_constant=_reject_constant)
+        payloads = _DECODER.decode("[" + joined + "]")
         # each replaced separator left len(sep) - 1 characters fewer
         if len(payloads) == (len(pieces) - len(joined)) // (len(sep) - 1) + 1:
             return payloads if _fits(payloads, row) else None

@@ -978,13 +978,13 @@ def test_each_body_and_reply_is_parsed_once(world, monkeypatch):
     node, _, _ = world
     proxy = _pair_proxy(node)
     parses = Counter()
-    loads = json.loads
+    decode = codec._DECODER.decode
 
-    def counted_loads(*args, **kwargs):
+    def counted_decode(text):
         parses["loads"] += 1
-        return loads(*args, **kwargs)
+        return decode(text)
 
-    monkeypatch.setattr(json, "loads", counted_loads)
+    monkeypatch.setattr(codec._DECODER, "decode", counted_decode)
     bodies = [
         '{"method":"take","args":[' + _NUMBERS + "," + _NAME + "]}",
         '{"method":"take","args":[' + _NAME + "," + _NAME + "]}",
@@ -1005,17 +1005,17 @@ def test_each_body_and_reply_is_parsed_once(world, monkeypatch):
 def value_counts(monkeypatch):
     """Counts VInt and VList constructions while the test runs."""
     counts = Counter()
-    post_init, list_init = VInt.__post_init__, VList.__init__
+    int_init, list_init = VInt.__init__, VList.__init__
 
-    def counted_post_init(self):
+    def counted_int_init(self, value):
         counts["VInt"] += 1
-        post_init(self)
+        int_init(self, value)
 
     def counted_list_init(self, items=()):
         counts["VList"] += 1
         list_init(self, items)
 
-    monkeypatch.setattr(VInt, "__post_init__", counted_post_init)
+    monkeypatch.setattr(VInt, "__init__", counted_int_init)
     monkeypatch.setattr(VList, "__init__", counted_list_init)
     return counts
 
@@ -1027,19 +1027,19 @@ class Echo:
 
 def test_hot_path_builds_no_values(make_node, value_counts, monkeypatch):
     """A well-typed list<i64> echo makes no VInt or VList and no JSON
-    encoder call on either side, and through a proxy hands json.loads no
+    encoder call on either side, and through a proxy hands the decoder no
     text that holds an element object; a misfit element does, because the
     V* path answers it."""
-    dumps, loads = codec._dumps, json.loads
+    dumps, decode = codec._dumps, codec._DECODER.decode
 
     def counted_dumps(obj):
         value_counts["_dumps"] += 1
         return dumps(obj)
 
-    def counted_loads(text, **kwargs):
-        if '"i64"' in (text.decode() if isinstance(text, bytes) else text):
+    def counted_decode(text):
+        if '"i64"' in text:
             value_counts["element loads"] += 1
-        return loads(text, **kwargs)
+        return decode(text)
 
     node = make_node(demo=False)
     iface = InterfaceDescriptor("IEcho", [MethodSig("echo", (ListOf(Prim.I64),), ListOf(Prim.I64))])
@@ -1058,7 +1058,7 @@ def test_hot_path_builds_no_values(make_node, value_counts, monkeypatch):
     monkeypatch.setattr(codec, "_dumps", counted_dumps)
     _, text = node.handle_request("POST", "/echo", "", echo_body())
     assert json.loads(text) == {"result": {"t": "list", "v": items}}
-    monkeypatch.setattr(json, "loads", counted_loads)
+    monkeypatch.setattr(codec._DECODER, "decode", counted_decode)
     assert proxy.echo(values) == values
     assert value_counts == {}
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,8 +29,8 @@ PUBLIC = {
 
 SUBMODULE_ONLY = {
     "refbus.values": [
-        "NULL", "Ior", "TypeEnvironment", "TypeRef", "Value", "VBool", "VFloat",
-        "VInt", "VList", "VNull", "VRecord", "VRef", "VStr",
+        "NULL", "Ior", "Record", "TypeEnvironment", "TypeRef", "Value", "VBool",
+        "VFloat", "VInt", "VList", "VNull", "VRecord", "VRef", "VStr",
     ],
     "refbus.wire": [
         "CallEnvelope", "Fault", "ReplyEnvelope", "encode_call", "encode_reply",
@@ -75,6 +77,22 @@ def test_no_module_imports_a_private_name_from_a_sibling():
         if alias.name.startswith("_")
     ]
     assert leaks == []
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """Every refbus process, a node or a one-shot ``refbus-inspect``, pays
+    for ``import refbus`` on each start; ``dataclasses`` and the
+    ``inspect`` it imports once took a third of that."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import refbus, refbus.inspector; "
+        "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-S", "-c", code],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (run.returncode, run.stderr, run.stdout) == (0, "", "\n")
 
 
 def test_console_scripts_name_callables():
