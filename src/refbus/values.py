@@ -44,14 +44,8 @@ class Record:
 
     __slots__ = ()
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._fields = tuple(
-            name
-            for klass in reversed(cls.__mro__)
-            for name in vars(klass).get("__slots__", ())
-            if not name.startswith("_")
-        )
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         # One getter per class reads every field in C; a loop of getattr
         # calls on each == or hash cost three times as much.
         cls._key = attrgetter(*cls._fields) if cls._fields else staticmethod(lambda record: ())
