@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from refbus import BadEnvelopeError, FaultCode, ListOf, Prim
+from refbus import BadEnvelopeError, FaultCode, ListOf, Prim, wire
 from refbus.values import (
     NULL,
     Ior,
@@ -76,6 +76,16 @@ def test_encode_null_bool_float_str_list():
 
 def test_encode_call_get_name():
     assert encode_call(CallEnvelope("getName")) == '{"method":"getName","args":[]}'
+
+
+def test_the_pure_python_encoder_writes_the_same_text(monkeypatch):
+    """Where the C accelerator is missing, ``_dumps`` falls back to
+    ``JSONEncoder.encode``, which must write the bytes the C encoder does."""
+    rng = random.Random(29)
+    values = [random_value(rng, 3) for _ in range(200)] + [VStr("é\u2028\x00\"\\"), VFloat(-0.0)]
+    texts = [encode_value(v) for v in values]
+    monkeypatch.setattr(wire, "_C_ENCODE", None)
+    assert [encode_value(v) for v in values] == texts
 
 
 def test_encode_fault_reply():
