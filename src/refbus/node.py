@@ -126,9 +126,6 @@ class Node:
     def constructor_for(self, type_name: str) -> type | None:
         return self._constructors.get(type_name)
 
-    def class_descriptor_for(self, instance) -> ClassDescriptor | None:
-        return self._classes.get(type(instance))
-
     # ------------------------------------------------------------------
     # lifecycle
 
@@ -186,9 +183,6 @@ class Node:
         if self._server is None:
             raise RuntimeError("node is not running; call start() first")
 
-    def url(self, name: str) -> str:
-        return f"http://{self._host}:{self._port}/{name}"
-
     # ------------------------------------------------------------------
     # deployment
 
@@ -203,7 +197,7 @@ class Node:
     def _handle_for(self, component) -> ComponentHandle:
         if isinstance(component, ComponentHandle):
             return component
-        descriptor = self.class_descriptor_for(component)
+        descriptor = self._classes.get(type(component))
         if descriptor is None:
             raise IncompatibleComponentError(
                 f"no component class registered for {type(component).__name__}"
@@ -241,13 +235,14 @@ class Node:
         descriptor, handle = self._prepare(iface, component)
         dep = self.table.add(handle, descriptor)
         self.table.bind_name(name, dep)
-        return self.url(name)
+        return f"http://{self._host}:{self._port}/{name}"
 
     def deploy_anonymous(self, iface, component) -> Ior:
         """Expose a component without a name; returns its remote reference.
 
-        An (instance, interface) pair already deployed is exported again
-        without repeating the deploy-time checks.
+        Only an (instance, interface) pair not yet deployed passes the
+        deploy-time checks and is added to the table; either way the
+        deployment is exported, which numbers it on its first export.
         """
         self._require_started()
         identity = component.identity if isinstance(component, ComponentHandle) else id(component)
@@ -255,9 +250,8 @@ class Node:
         dep = self.table.lookup(identity, iface_name)
         if dep is None:
             descriptor, handle = self._prepare(iface, component)
-        else:
-            descriptor, handle = dep.iface, dep.component
-        return self.table.export(handle, descriptor, self._host, self._port)
+            dep = self.table.add(handle, descriptor)
+        return self.table.export(dep, self._host, self._port)
 
     # ------------------------------------------------------------------
     # client half
@@ -320,7 +314,7 @@ class Node:
                 if policy is BY_REFERENCE:
                     return VRef(x.ior)
                 return _client.snapshot(x, deadline)
-            descriptor = self.class_descriptor_for(x)
+            descriptor = self._classes.get(type(x))
             if descriptor is not None:
                 if not isinstance(t, InterfaceType):
                     raise TypeMismatchError(
@@ -442,7 +436,7 @@ class Node:
             if args:
                 raise TypeMismatchError(f"{method} takes no arguments")
             if method == RESOLVE_METHOD:
-                return VRef(self.table.export(dep.component, dep.iface, self._host, self._port))
+                return VRef(self.table.export(dep, self._host, self._port))
             return snapshot_instance(dep.component.instance, dep.component.class_descriptor, self.env)
         sig = dep.iface.method(method)
         if sig is None:

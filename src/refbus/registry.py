@@ -6,11 +6,11 @@ as something in the program holds that proxy, so a reference received and
 dropped costs the receiver nothing. The deployment tables keep every
 deployment for the node's lifetime.
 
-Object numbers are assigned lazily (a named deployment gets one only when
-it is first exported by reference), start at 0, increment monotonically,
-and are never reused for the node's lifetime. The same (component
-identity, interface) pair always maps to the same deployment, which is
-what makes just-in-time deployment idempotent.
+Object numbers are assigned lazily (``ObjectTable.export`` numbers a
+deployment when it first hands out a reference to it), start at 0,
+increment monotonically, and are never reused for the node's lifetime.
+The same (component identity, interface) pair always maps to the same
+deployment, which is what makes just-in-time deployment idempotent.
 """
 
 from __future__ import annotations
@@ -21,30 +21,21 @@ import weakref
 from .component import ComponentHandle
 from .errors import InvalidNameError, NameInUseError, UnknownServiceError
 from .interfaces import InterfaceDescriptor
-from .values import Ior, Record
+from .values import Ior
 
 
-class Deployment(Record):
-    """One (component, interface) pair a node serves; the table updates its
-    object number and names in place, so a deployment is no immutable
-    record and has no hash."""
+class Deployment:
+    """One (component, interface) pair a node serves. The table sets its
+    object number and adds its names in place; two deployments are the
+    same only when they are one object."""
 
     __slots__ = ("component", "iface", "object_number", "names")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
-    def __init__(
-        self,
-        component: ComponentHandle,
-        iface: InterfaceDescriptor,
-        object_number: int | None = None,
-        names: set[str] | None = None,
-    ):
+    def __init__(self, component: ComponentHandle, iface: InterfaceDescriptor):
         self.component = component
         self.iface = iface
-        self.object_number = object_number
-        self.names = set() if names is None else names
+        self.object_number: int | None = None
+        self.names: set[str] = set()
 
 
 def validate_name(name: str):
@@ -88,20 +79,15 @@ class ObjectTable:
         """The deployment of (component identity, interface name), if any."""
         return self._by_key.get((identity, iface_name))
 
-    def ensure_number(self, dep: Deployment) -> int:
+    def export(self, dep: Deployment, host: str, port: int) -> Ior:
+        """The reference to a deployment of this table at host:port; its
+        object number is assigned on the first export."""
         with self._lock:
             if dep.object_number is None:
                 dep.object_number = self._next_number
                 self._next_number += 1
                 self._by_number[dep.object_number] = dep
-            return dep.object_number
-
-    def export(
-        self, component: ComponentHandle, iface: InterfaceDescriptor, host: str, port: int
-    ) -> Ior:
-        """Deploy (idempotently), assign the lazy object number, return the Ior."""
-        dep = self.add(component, iface)
-        return Ior(host, port, self.ensure_number(dep), iface.name)
+        return Ior(host, port, dep.object_number, dep.iface.name)
 
     def bind_name(self, name: str, dep: Deployment):
         validate_name(name)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Union
 
 from .errors import TypeMismatchError
 
@@ -173,13 +173,12 @@ class VRecord(Record):
     __slots__ = ("type_name", "fields")
 
     def __init__(self, type_name: str, fields=()):
-        if not type_name:
-            raise ValueError("record type name must be non-empty")
-        if isinstance(fields, Mapping):
-            pairs = tuple(fields.items())
-        else:
-            pairs = tuple((name, value) for name, value in fields)
+        if not isinstance(type_name, str) or not type_name:
+            raise ValueError("record type name must be a non-empty string")
+        pairs = tuple((name, value) for name, value in fields)
         names = [name for name, _ in pairs]
+        if not all(isinstance(name, str) and name for name in names):
+            raise ValueError(f"field names in record {type_name!r} must be non-empty strings")
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate field names in record {type_name!r}")
         object.__setattr__(self, "type_name", type_name)

@@ -33,6 +33,7 @@ from refbus import (
     NonInterfaceSignatureError,
     Prim,
     RecordType,
+    UnknownInterfaceError,
 )
 from refbus.interfaces import describe
 from refbus.policy import RETURN, ParamPos
@@ -97,6 +98,40 @@ def test_deploy_requires_started_node():
     register_demo_types(node)
     with pytest.raises(RuntimeError):
         node.deploy("INamedEntity", Student("a", 1), "bob")
+
+
+def test_a_with_block_starts_the_node_and_stops_it_on_leaving():
+    with Node() as node:
+        register_demo_types(node)
+        node.deploy("INamedEntity", Student("a", 1), "bob")
+        assert _call(node, "/bob", "getName").result == VStr("a")
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection((node.host, node.port), timeout=5).close()
+
+
+def test_a_second_start_keeps_the_node_on_its_port(make_node):
+    node = make_node()
+    port = node.port
+    assert node.start() is node
+    assert node.port == port
+    node.deploy("INamedEntity", Student("a", 1), "bob")
+    assert _call(node, "/bob", "getName").result == VStr("a")
+
+
+def test_deploy_under_an_unregistered_interface_name_raises(make_node):
+    node = make_node()
+    with pytest.raises(UnknownInterfaceError, match="INoSuch"):
+        node.deploy("INoSuch", Student("a", 1), "bob")
+
+
+def test_deploy_of_an_instance_of_an_unregistered_class_raises(make_node):
+    class Stranger:
+        def getName(self):
+            return "s"
+
+    node = make_node()
+    with pytest.raises(IncompatibleComponentError, match="Stranger"):
+        node.deploy("INamedEntity", Stranger(), "bob")
 
 
 def test_deploy_anonymous_returns_resolvable_ior(make_node):

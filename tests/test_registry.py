@@ -83,16 +83,16 @@ def test_one_deployment_may_carry_several_names():
 def test_object_numbers_start_at_zero_and_increment():
     # oracle: plain counter semantics
     table = ObjectTable()
-    first = table.export(_handle(), INAMED_ENTITY, "h", 80)
-    second = table.export(_handle("Jane", 2), INAMED_ENTITY, "h", 80)
+    first = table.export(table.add(_handle(), INAMED_ENTITY), "h", 80)
+    second = table.export(table.add(_handle("Jane", 2), INAMED_ENTITY), "h", 80)
     assert (first.object_number, second.object_number) == (0, 1)
 
 
 def test_export_is_idempotent_per_component_and_interface():
     table = ObjectTable()
     handle = _handle()
-    first = table.export(handle, INAMED_ENTITY, "h", 80)
-    second = table.export(handle, INAMED_ENTITY, "h", 80)
+    first = table.export(table.add(handle, INAMED_ENTITY), "h", 80)
+    second = table.export(table.add(handle, INAMED_ENTITY), "h", 80)
     assert first == second
     assert len(table.deployments()) == 1
 
@@ -100,8 +100,8 @@ def test_export_is_idempotent_per_component_and_interface():
 def test_one_component_under_two_interfaces_gets_two_deployments():
     table = ObjectTable()
     handle = _handle()
-    named = table.export(handle, INAMED_ENTITY, "h", 80)
-    matric = table.export(handle, IMATRICULATED, "h", 80)
+    named = table.export(table.add(handle, INAMED_ENTITY), "h", 80)
+    matric = table.export(table.add(handle, IMATRICULATED), "h", 80)
     assert named.object_number != matric.object_number
     assert named.interface_name == "INamedEntity"
     assert matric.interface_name == "IMatriculated"
@@ -113,7 +113,7 @@ def test_named_deployment_gets_number_lazily():
     dep = table.add(_handle(), INAMED_ENTITY)
     table.bind_name("bob", dep)
     assert dep.object_number is None
-    ior = table.export(dep.component, dep.iface, "h", 80)
+    ior = table.export(dep, "h", 80)
     assert ior.object_number == 0
     assert dep.object_number == 0
     assert table.resolve(0) is dep
@@ -121,7 +121,7 @@ def test_named_deployment_gets_number_lazily():
 
 def test_resolve_known_and_unknown():
     table = ObjectTable()
-    ior = table.export(_handle(), INAMED_ENTITY, "h", 80)
+    ior = table.export(table.add(_handle(), INAMED_ENTITY), "h", 80)
     assert table.resolve(ior.object_number).component.instance.getName() == "Bobby Jones"
     with pytest.raises(UnknownServiceError):
         table.resolve(99)
@@ -145,7 +145,7 @@ def test_concurrent_exports_unique_and_resolvable():
     lock = threading.Lock()
 
     def export(i):
-        ior = table.export(handles[i % 50], INAMED_ENTITY, "h", 80)
+        ior = table.export(table.add(handles[i % 50], INAMED_ENTITY), "h", 80)
         with lock:
             iors.append((i % 50, ior))
 
@@ -166,7 +166,7 @@ def test_name_and_object_tables_agree():
     table = ObjectTable()
     dep = table.add(_handle(), INAMED_ENTITY)
     table.bind_name("bob", dep)
-    table.export(dep.component, dep.iface, "h", 80)
+    table.export(dep, "h", 80)
     assert table.resolve(dep.object_number) is table.lookup_name("bob")
 
 

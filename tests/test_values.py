@@ -64,6 +64,16 @@ def test_record_rejects_duplicate_field_names():
         VRecord("R", [("a", VInt(1)), ("a", VInt(2))])
 
 
+@pytest.mark.parametrize(
+    "type_name, fields",
+    [("T", [("", VInt(1))]), ("T", [(5, VInt(1))]), (7, [("a", VInt(1))]), ("", [])],
+)
+def test_record_refuses_names_no_peer_can_read(type_name, fields):
+    # the wire refuses these names, so a record holding one could never be sent
+    with pytest.raises(ValueError):
+        VRecord(type_name, fields)
+
+
 def test_ior_validation():
     with pytest.raises(ValueError):
         Ior("", 80, 0, "I")
