@@ -17,7 +17,7 @@ HTTP mapping (bodies are application/json), exactly these paths:
 
 Application errors travel as fault envelopes with HTTP 200; only malformed
 HTTP itself yields a 400, as does a GET that declares a body. ``http1``
-reads each request and writes each reply (see ``_Handler``).
+reads each request and writes each reply (see ``_Server``).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import socketserver
 import struct
 import sys
 import threading
+import time
 from urllib.parse import parse_qs
 
 from . import client as _client
@@ -152,7 +153,7 @@ class Node:
         self._server.socket.setsockopt(
             socket.SOL_SOCKET, socket.SO_RCVTIMEO, struct.pack("@ll", seconds, micros)
         )
-        self._port = self._server.server_address[1]
+        self._port = self._server.socket.getsockname()[1]
         self._thread = threading.Thread(
             target=self._server.serve,
             name=f"refbus-node-{self._port}",
@@ -162,9 +163,10 @@ class Node:
         return self
 
     def stop(self):
-        """Stop accepting, and close the listening socket once the accept
-        loop has ended. A connection still open answers no further request:
-        its handler closes it after reading one, and nothing runs."""
+        """Stop accepting, close the listening socket once the accept loop
+        has ended, and end each connection still open: a call already
+        running still gets its reply, though ``stop`` waits about 1 s at
+        most for it, and no further request runs."""
         if self._server is None:
             return
         self._server.stop()
@@ -453,20 +455,63 @@ class Node:
             raise InternalFaultError(f"{type(exc).__name__}: {exc}") from exc
 
 
-class _Handler(socketserver.BaseRequestHandler):
-    """Serves one connection: reads each request with ``http1`` and answers
-    it in one write, until the peer closes, goes idle, or a request ends the
-    connection."""
+class _Server(socketserver.ThreadingMixIn):
+    """Accepts a node's connections, and serves each on a daemon thread.
 
-    def handle(self):
-        sock = self.request
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        with sock.makefile("rb") as rfile:
+    ``serve`` is the accept loop: it blocks on the listening socket and on
+    one end of a socket pair, and ``stop`` writes to the other end, so
+    ``Node.stop`` returns as soon as the loop sees it. The server keeps each
+    open connection, with its thread, for ``stop`` to end.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, node: Node):
+        self.node = node
+        self.stopped = False
+        self.socket = socket.create_server((node.host, node.port))
+        # after the bind: where it fails, create_server closes its socket
+        self._waker, self._wakee = socket.socketpair()
+        self._lock = threading.Lock()
+        self._serving: dict[socket.socket, threading.Thread] = {}
+
+    def serve(self):
+        """Accept connections until ``stop``."""
+        with selectors.DefaultSelector() as selector:
+            selector.register(self.socket, selectors.EVENT_READ)
+            selector.register(self._wakee, selectors.EVENT_READ)
+            while True:
+                ready = selector.select()
+                if self.stopped:
+                    return
+                if ready:  # only the listening socket, until stop
+                    try:
+                        conn, address = self.socket.accept()
+                        self.process_request(conn, address)
+                    except OSError:
+                        pass  # reset before it was accepted, or no descriptor is free
+                    except RuntimeError:  # no thread could start to serve it
+                        conn.close()
+
+    def process_request_thread(self, conn: socket.socket, address):
+        """Serve one connection with ``http1`` until the peer closes, goes
+        idle, a request ends the connection, or the node stops."""
+        with conn:
+            with self._lock:
+                if self.stopped:
+                    return
+                self._serving[conn] = threading.current_thread()
             try:
-                while self._answer(sock, rfile):
-                    pass
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                with conn.makefile("rb") as rfile:
+                    while self._answer(conn, rfile):
+                        pass
+                conn.shutdown(socket.SHUT_WR)  # the FIN follows the last reply
             except (EOFError, OSError):
                 pass  # closed, reset or idle: there is no one to answer
+            finally:
+                with self._lock:
+                    del self._serving[conn]
 
     def _answer(self, sock: socket.socket, rfile) -> bool:
         """Read and answer one request; False when the connection closes."""
@@ -475,54 +520,34 @@ class _Handler(socketserver.BaseRequestHandler):
         except ValueError as exc:
             http1.write_reply(sock, 400, json.dumps({"error": str(exc)}, separators=(",", ":")), False)
             return False
-        if self.server.stopped:
+        if self.stopped:
             return False  # the node stopped while this request was on its way
         path, _, query = target.partition("?")
-        status, text = self.server.node.handle_request(method, path, query, body)
+        status, text = self.node.handle_request(method, path, query, body)
         keep_open = keep_open and status == 200  # any other may leave a body unread
         http1.write_reply(sock, status, text, keep_open)
         return keep_open
 
-
-class _Server(socketserver.ThreadingTCPServer):
-    """Accepts connections for a node, each served by a _Handler on its own
-    daemon thread.
-
-    ``serve`` is the accept loop: it blocks on the listening socket and on
-    one end of a socket pair, and ``stop`` writes to the other end, so
-    ``Node.stop`` returns as soon as the loop sees it. Each accept goes
-    through ``process_request``, which starts the connection's thread.
-    """
-
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, node: Node):
-        self.node = node
-        self.stopped = False
-        # before the bind: where it fails, TCPServer calls server_close
-        self._waker, self._wakee = socket.socketpair()
-        super().__init__((node.host, node.port), _Handler)
-
-    def serve(self):
-        """Accept connections until ``stop``."""
-        with selectors.DefaultSelector() as selector:
-            selector.register(self, selectors.EVENT_READ)
-            selector.register(self._wakee, selectors.EVENT_READ)
-            while True:
-                ready = selector.select()
-                if self.stopped:
-                    return
-                if ready:  # only the listening socket, until stop
-                    self._handle_request_noblock()
-
     def stop(self):
-        """Mark the server stopped and end ``serve``."""
-        self.stopped = True
+        """Mark the server stopped, end ``serve``, and shut the read side of
+        each open connection: a read waiting there ends, and a call already
+        running still writes its reply. Waits about 1 s at most for them."""
+        with self._lock:
+            self.stopped = True
+            for conn in self._serving:
+                try:
+                    conn.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass  # the peer reset it
+            threads = list(self._serving.values())
         self._waker.send(b"\0")
+        deadline = time.monotonic() + 1.0
+        for thread in threads:
+            if thread is not threading.current_thread():
+                thread.join(max(0.0, deadline - time.monotonic()))
 
     def server_close(self):
-        super().server_close()
+        self.socket.close()
         self._waker.close()
         self._wakee.close()
 

@@ -181,6 +181,9 @@ class VRecord(Record):
             raise ValueError(f"field names in record {type_name!r} must be non-empty strings")
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate field names in record {type_name!r}")
+        for name, value in pairs:
+            if not isinstance(value, _VALUE_CLASSES):
+                raise ValueError(f"field {name!r} of record {type_name!r} is not a value: {value!r}")
         object.__setattr__(self, "type_name", type_name)
         object.__setattr__(self, "fields", pairs)
 
@@ -198,7 +201,8 @@ class VRef(Record):
         object.__setattr__(self, "ior", ior)
 
 
-Value = Union[VNull, VBool, VInt, VFloat, VStr, VList, VRecord, VRef]
+_VALUE_CLASSES = (VNull, VBool, VInt, VFloat, VStr, VList, VRecord, VRef)
+Value = Union[_VALUE_CLASSES]
 
 NULL = VNull()
 

@@ -3,10 +3,13 @@ policy-driven marshaling, and just-in-time deployment."""
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import json
 import re
 import socket
+import socketserver
+import sys
 import threading
 import time
 import warnings
@@ -29,6 +32,7 @@ from refbus import (
     InternalFaultError,
     MethodSig,
     NameInUseError,
+    NetworkError,
     Node,
     NonInterfaceSignatureError,
     Prim,
@@ -694,6 +698,138 @@ def test_a_failed_bind_leaves_no_socket_open(make_node):
             Node(port=node.port).start()
         gc.collect()
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_sixteen_concurrent_callers_are_all_answered_at_once(bob_node):
+    """Each call opens a connection, so 16 callers make 16 connects at once.
+    Behind an accept queue of 5, the kernel dropped the handshakes past it,
+    and their callers waited a second for the retransmit."""
+    callers = 16
+    barrier = threading.Barrier(callers)
+    call = encode_call(CallEnvelope("getName"))
+
+    def caller(_):
+        barrier.wait(5)
+        start = time.monotonic()
+        reply = decode_reply(post_call(bob_node.host, bob_node.port, "/bob", call, timeout=5))
+        return time.monotonic() - start, reply.result
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # threads interleave often, so a lost update shows
+    try:
+        with ThreadPoolExecutor(callers) as pool:
+            answers = list(pool.map(caller, range(callers)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [result for _, result in answers] == [VStr("Bobby Jones")] * callers
+    slowest = max(elapsed for elapsed, _ in answers)
+    assert slowest < 0.5, f"the slowest of {callers} callers waited {slowest:.2f} s"
+    deadline = time.monotonic() + 2  # each thread forgets its connection as it ends
+    while bob_node._server._serving and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert not bob_node._server._serving
+
+
+def test_stop_ends_the_connections_the_node_serves(bob_node):
+    """Three keep-alive connections that each got a reply see the end of
+    input within 1 s of stop(), and their threads have ended; they used to
+    stay open until the idle timeout."""
+    request = b"POST /bob HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s" % (
+        len(_CALL), _CALL
+    )
+    address = (bob_node.host, bob_node.port)
+    before = set(threading.enumerate())
+    with contextlib.ExitStack() as stack:
+        replies = []
+        for _ in range(3):
+            sock = stack.enter_context(socket.create_connection(address, timeout=2))
+            sock.sendall(request)
+            replies.append(stack.enter_context(sock.makefile("rb")))
+            assert http1.read_reply(replies[-1])[0] == 200
+        start = time.monotonic()
+        bob_node.stop()
+        for rfile in replies:
+            assert rfile.read() == b""
+        assert time.monotonic() - start < 1
+    assert not set(threading.enumerate()) - before
+
+
+class _Gate:
+    """getName waits until the gate opens."""
+
+    def __init__(self):
+        self.entered, self.opened = threading.Event(), threading.Event()
+
+    def getName(self):
+        self.entered.set()
+        self.opened.wait(5)
+        return "Bob"
+
+
+def test_a_call_running_at_stop_still_gets_its_reply(make_node):
+    node = make_node()
+    gate = _Gate()
+    descriptor = ClassDescriptor("Gate", methods=INAMED_ENTITY.methods)
+    node.deploy(INAMED_ENTITY, ComponentHandle(gate, descriptor), "gate")
+    with ThreadPoolExecutor(1) as pool:
+        reply = pool.submit(_call, node, "/gate", "getName")
+        assert gate.entered.wait(5)
+        opener = threading.Timer(0.2, gate.opened.set)
+        opener.start()
+        node.stop()
+        opener.join(5)
+        assert reply.result(5).result == VStr("Bob")
+
+
+class _Stopper:
+    """getName stops the node that serves it."""
+
+    def __init__(self, node):
+        self.node = node
+
+    def getName(self):
+        self.node.stop()
+        return "Bob"
+
+
+def test_a_call_can_stop_its_own_node(make_node):
+    """stop() run by a call does not wait for the call's own thread."""
+    node = make_node()
+    descriptor = ClassDescriptor("Stopper", methods=INAMED_ENTITY.methods)
+    node.deploy(INAMED_ENTITY, ComponentHandle(_Stopper(node), descriptor), "stopper")
+    address = (node.host, node.port)
+    assert _call(node, "/stopper", "getName").result == VStr("Bob")
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(address, timeout=5).close()
+
+
+def test_an_unexpected_error_serving_a_connection_reaches_stderr(bob_node, monkeypatch, capsys):
+    """handle_request is total, so an exception out of it is a bug: the
+    connection closes, and the traceback goes to stderr."""
+
+    def broken(*args):
+        raise RuntimeError("broken")
+
+    monkeypatch.setattr(bob_node, "handle_request", broken)
+    monkeypatch.setattr(threading, "excepthook", threading.__excepthook__)
+    with pytest.raises(NetworkError):
+        _call(bob_node, "/bob", "getName")
+    err, deadline = "", time.monotonic() + 2
+    while "RuntimeError: broken" not in err and time.monotonic() < deadline:
+        time.sleep(0.02)
+        err += capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: broken" in err
+
+
+def test_a_connection_no_thread_can_serve_is_closed_and_the_node_accepts_on(bob_node, monkeypatch):
+    def no_thread(server, conn, address):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(socketserver.ThreadingMixIn, "process_request", no_thread)
+    with pytest.raises(NetworkError):
+        _call(bob_node, "/bob", "getName")
+    monkeypatch.undo()
+    assert _call(bob_node, "/bob", "getName").result == VStr("Bobby Jones")
 
 
 def _exchange(node, request: bytes) -> bytes:

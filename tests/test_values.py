@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from refbus import InterfaceDescriptor, InterfaceType, ListOf, Prim, RecordType
+from refbus import ClassDescriptor, InterfaceDescriptor, InterfaceType, ListOf, MethodSig, Prim, RecordType
 from refbus.values import (
     NULL,
     Ior,
@@ -20,7 +20,7 @@ from refbus.values import (
     VRef,
     VStr,
 )
-from refbus.wire import encode_value, type_check
+from refbus.wire import CallEnvelope, encode_value, type_check
 from conftest import TypedGenerator, clone_value, deep_eq, random_value
 
 
@@ -72,6 +72,30 @@ def test_record_refuses_names_no_peer_can_read(type_name, fields):
     # the wire refuses these names, so a record holding one could never be sent
     with pytest.raises(ValueError):
         VRecord(type_name, fields)
+
+
+@pytest.mark.parametrize("fields", [[("a", 5)], {"ab": VInt(1)}], ids=["int", "dict"])
+def test_record_refuses_a_field_that_is_not_a_value(fields):
+    """A dict's keys unpack as (name, value) pairs of characters: {"ab": ...}
+    would build the field "a" holding "b"."""
+    with pytest.raises(ValueError, match="^field 'a' of record 'T' is not a value: "):
+        VRecord("T", fields)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: MethodSig(""),
+        lambda: InterfaceDescriptor(""),
+        lambda: ClassDescriptor(""),
+        lambda: TypeEnvironment().add_record("", []),
+        lambda: CallEnvelope(""),
+    ],
+    ids=["method", "interface", "class", "type", "call"],
+)
+def test_an_empty_name_is_refused(make):
+    with pytest.raises(ValueError, match="must be non-empty$"):
+        make()
 
 
 def test_ior_validation():
