@@ -418,9 +418,12 @@ class Node:
                         "; ".join(f"arg {i} {m}" for i, ms in misfits for m in ms)
                     )
             result = self._invoke(dep, method, args)
-            marshal = functools.partial(
-                self.marshal_outbound, iface_name=dep.iface.name, method_name=method, position=RETURN
-            )
+
+            def marshal(x, t):  # only for a result its row declines
+                return self.marshal_outbound(
+                    x, t, iface_name=dep.iface.name, method_name=method, position=RETURN
+                )
+
             return send_result(result, sig.returns, marshal)
         except FaultError as exc:
             code, message = exc.code, str(exc)

@@ -153,18 +153,30 @@ class VStr(Record):
     def __init__(self, value: str):
         if not isinstance(value, str):
             raise ValueError(f"VStr requires a str, got {type(value).__name__}")
-        try:  # valid Unicode text is what UTF-8 can encode
-            value.encode("utf-8")
-        except UnicodeEncodeError:
-            raise ValueError("VStr must be valid Unicode text (no lone surrogates)") from None
+        if not is_text(value):
+            raise ValueError("VStr must be valid Unicode text (no lone surrogates)")
         object.__setattr__(self, "value", value)
+
+
+def is_text(s: str) -> bool:
+    """Whether a str is valid Unicode text: what UTF-8 can encode, so no
+    lone surrogates."""
+    try:
+        s.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 class VList(Record):
     __slots__ = ("items",)
 
     def __init__(self, items: Iterable["Value"] = ()):
-        object.__setattr__(self, "items", tuple(items))
+        items = tuple(items)
+        for i, item in enumerate(items):
+            if not isinstance(item, _VALUE_CLASSES):
+                raise ValueError(f"item {i} of a list is not a value: {item!r}")
+        object.__setattr__(self, "items", items)
 
 
 class VRecord(Record):
@@ -215,6 +227,10 @@ class Prim(Enum):
     I64 = "i64"
     F64 = "f64"
     STR = "str"
+
+    # Members are singletons compared by identity, so identity hashes them,
+    # in C; Enum's own __hash__ is a Python call on each dict lookup.
+    __hash__ = object.__hash__
 
 
 class ListOf(Record):

@@ -7,26 +7,36 @@ inputs yield byte-identical text) and decoding is strict: unknown tags,
 missing or extra keys, out-of-range numbers, and non-finite floats all
 signal BAD_ENVELOPE.
 
-A value takes one of two paths each way, and one table, ``_SCALAR``,
-decides which: a position declared ``readable`` (a list of i64, f64 or
-bool) takes the text path, and every other position the V* path.
+A value takes one of three paths each way, and one table, ``_ROWS``,
+decides which. It holds one row per Prim: the exact Python type of its
+values, its value class's rule, the writer of its payload and the reader
+of a parsed payload.
 
-Outbound, ``_encode`` writes a list or tuple of exact payloads at a
-``readable`` type straight to the canonical text. It hands every other
-position, whole, to ``marshal``, whose ``values.Value`` ``_value_obj``
-writes with the same bytes. ``send_call`` and ``send_result`` join the
-texts around the envelope.
+A scalar or null position takes its row. Outbound, ``_write`` writes a
+value of exactly the row's Python type, within its rule, as ``_dumps``
+would. Inbound, ``receive`` reads a parsed value object of the row's tag,
+with exactly its keys and a payload that fits, into the Python value
+``materialize`` would make. Neither end builds a ``values.Value``.
 
-Inbound, ``read_call`` and ``read_reply`` read the one argument of a call,
-or the result of a reply, declared ``readable``: where the body is the
-canonical text ``_encode`` writes, they read the payloads straight from it
-with one JSON parse of a bare array, and build no element object.
-Anything else they decline, before parsing or after, where a payload does
-not fit. Every other position takes the V* path in ``receive``: one walk
-of ``_parse_value`` parses it into a ``values.Value`` and checks it
-against the declared type, and once every position fits, the caller's
-``materialize`` turns each into a Python value. That path answers every
-fault. ``type_check`` runs the same walk over a value the caller supplies.
+A position declared ``readable`` (a list of a Prim whose row has a bulk
+rule: i64, f64 or bool) takes the text path. Outbound, ``_write`` writes a
+list or tuple of exact payloads straight to the canonical text. Inbound,
+``read_call`` and ``read_reply`` read the one argument of a call, or the
+result of a reply: where the body is the canonical text ``_write``
+writes, they read the payloads straight from it with one JSON parse of a
+bare array, and build no element object. Anything else they decline,
+before parsing or after, where a payload does not fit.
+
+Everything a row or the text path declines, and every other position,
+takes the V* path. Outbound, ``marshal`` answers the position whole, and
+``_value_obj`` writes its ``values.Value`` with the same bytes. Inbound,
+one walk of ``_parse_value`` in ``receive`` parses the position into a
+``values.Value`` and checks it against the declared type, and once every
+position fits, the caller's ``materialize`` turns each into a Python
+value. The V* path is the only writer of fault texts, so the rows and the
+text path change no fault. ``send_call`` and ``send_result`` join the
+texts around the envelope. ``type_check`` runs the V* walk over a value
+the caller supplies.
 """
 
 from __future__ import annotations
@@ -58,6 +68,7 @@ from .values import (
     VNull,
     VRecord,
     VRef,
+    is_text,
     typeref_name,
 )
 
@@ -397,17 +408,70 @@ def reply_shape(obj: Any) -> tuple[Any, Fault | None]:
 Marshal = Callable[[Any, TypeRef], Value]
 
 
-# The element types of the text path's lists, whose payloads hold no quote,
-# comma or bracket (a string can span a separator, so list<str> stays out):
-# Prim -> (exact Python type, bulk rule, writer, text before the payload).
-# The bulk rule is the value class's check over a non-empty list of values
-# of exactly the Python type, all at once; the writer writes what _dumps does.
-_SCALAR = {
-    prim: (py_type, rule, write, f'{{"t":"{prim.value}","v":')
-    for prim, py_type, rule, write in (
-        (Prim.BOOL, bool, lambda xs: True, {False: "false", True: "true"}.__getitem__),
-        (Prim.I64, int, lambda xs: I64_MIN <= min(xs) and max(xs) <= I64_MAX, int.__repr__),
-        (Prim.F64, float, lambda xs: all(map(math.isfinite, xs)), float.__repr__),
+class _Row:
+    """How the values of one Prim skip the value objects, both ways."""
+
+    __slots__ = ("prim", "tag", "keys", "head", "py_type", "rule", "write", "read", "bulk")
+
+    def __init__(self, prim: Prim, py_type: type, rule, write, read=None, bulk=None):
+        self.prim, self.tag = prim, prim.value
+        # A null has no payload: its value object has one key, and the text
+        # before its payload is all of it but the closing brace.
+        self.keys = 1 if prim is Prim.NULL else 2
+        self.head = f'{{"t":"{self.tag}"' + ("" if prim is Prim.NULL else ',"v":')
+        self.py_type, self.rule, self.write, self.bulk = py_type, rule, write, bulk
+        self.read = read or _as_parsed
+
+
+def _as_parsed(payload):
+    return payload
+
+
+def _as_float(payload):
+    """An f64 payload, a JSON integer read as a float as VFloat reads it;
+    None where no float holds it."""
+    if type(payload) is int:
+        try:
+            return float(payload)
+        except OverflowError:
+            return None
+    return payload
+
+
+def _anything(_) -> bool:
+    return True
+
+
+# The one table that decides which positions skip the value objects: a
+# scalar or null at its Prim, and a list or tuple of them at a ``readable``
+# type, a list of a Prim whose row has a bulk rule. Those are the Prims
+# whose payloads hold no quote, comma or bracket; a string's can span a
+# separator, so list<str> stays out. A row holds:
+# - the exact Python type of its values, so a bool is no i64, and an
+#   IntEnum takes the V* path, which writes it as its int;
+# - its value class's rule, over one value of exactly that type;
+# - the writer of a payload, which writes what ``_dumps`` does;
+# - the reader of a parsed payload, which makes the Python value that
+#   ``materialize`` would, or one that the type and rule then decline;
+# - the bulk rule: the rule over a whole non-empty list at once.
+# Whatever a row declines takes the V* path, the only writer of fault texts.
+_ROWS = {
+    row.prim: row
+    for row in (
+        _Row(Prim.NULL, type(None), _anything, lambda x: ""),
+        _Row(
+            Prim.BOOL, bool, _anything, {False: "false", True: "true"}.__getitem__,
+            bulk=_anything,
+        ),
+        _Row(
+            Prim.I64, int, lambda x: I64_MIN <= x <= I64_MAX, int.__repr__,
+            bulk=lambda xs: I64_MIN <= min(xs) and max(xs) <= I64_MAX,
+        ),
+        _Row(
+            Prim.F64, float, math.isfinite, float.__repr__, _as_float,
+            bulk=lambda xs: all(map(math.isfinite, xs)),
+        ),
+        _Row(Prim.STR, str, is_text, encode_basestring),
     )
 }
 
@@ -416,24 +480,56 @@ _SCALAR = {
 _LIST_HEAD = '{"t":"list","v":['
 
 
-def _fits(xs, row) -> bool:
+def readable(t: TypeRef) -> bool:
+    """Whether values of ``t`` take the text path: a list of i64, f64 or
+    bool, which ``_write`` writes and ``read_call`` and ``read_reply``
+    read."""
+    row = _ROWS.get(t.elem) if type(t) is ListOf else None
+    return row is not None and row.bulk is not None
+
+
+def _fits(xs, row: _Row) -> bool:
     """Whether ``xs`` are payloads the text path writes and reads at
-    ``row``: each of exactly its Python type, and all within its rule."""
-    return not xs or (set(map(type, xs)) == {row[0]} and row[1](xs))
+    ``row``: each of exactly its Python type, and all within its bulk rule."""
+    return not xs or (set(map(type, xs)) == {row.py_type} and row.bulk(xs))
+
+
+def _write(x, t: TypeRef) -> str | None:
+    """The JSON text of ``x`` at ``t`` where its row takes it: a value of
+    exactly the Python type of ``t``'s row, within its rule, or a list or
+    tuple of them at a ``readable`` type, written as the readers read it.
+    None where the row declines."""
+    if type(t) is Prim:
+        row = _ROWS.get(t)
+        if row is not None and type(x) is row.py_type and row.rule(x):
+            return row.head + row.write(x) + "}"
+    elif readable(t) and (type(x) is list or type(x) is tuple):
+        row = _ROWS[t.elem]
+        if _fits(x, row):
+            head = row.head
+            items = head + ("}," + head).join(map(row.write, x)) + "}" if x else ""
+            return _LIST_HEAD + items + "]}"
+    return None
 
 
 def _encode(x, t: TypeRef, marshal: Marshal) -> str:
-    """JSON text of ``x`` at ``t``. A list or tuple of payloads of exactly
-    the element's Python type, at a ``readable`` type, is written here as
-    the text reader reads it; ``marshal`` answers every other position
-    whole, and ``_value_obj`` writes its value."""
-    if readable(t) and (type(x) is list or type(x) is tuple):
-        row = _SCALAR[t.elem]
-        if _fits(x, row):
-            head = row[3]
-            items = head + ("}," + head).join(map(row[2], x)) + "}" if x else ""
-            return _LIST_HEAD + items + "]}"
+    """JSON text of ``x`` at ``t`` on the V* path: ``marshal`` answers the
+    position whole, and ``_value_obj`` writes its value."""
     return _dumps(_value_obj(marshal(x, t)))
+
+
+_DECLINED = object()
+
+
+def _read(obj, row: _Row):
+    """The Python value ``materialize`` would make of the parsed JSON value
+    ``obj`` at ``row``'s Prim; _DECLINED where ``obj`` is not exactly an
+    object of that tag whose payload fits."""
+    if type(obj) is dict and len(obj) == row.keys and obj.get("t") == row.tag:
+        x = row.read(obj.get("v"))
+        if type(x) is row.py_type and row.rule(x):
+            return x
+    return _DECLINED
 
 
 def receive(
@@ -441,33 +537,45 @@ def receive(
 ) -> tuple[list, list]:
     """(values, misfits) of the parsed JSON values at signature positions.
 
-    One walk of ``_parse_value`` parses each position at ``path.format(i)``
+    A position at a Prim whose row takes it is read by the row. One walk
+    of ``_parse_value`` parses each other position at ``path.format(i)``
     and checks it against its type, so BadEnvelopeError leaves at the first
     position that does not parse, and a position that does not fit adds
     ``(i, mismatches)`` to misfits, each path relative to the position.
-    Only when there are no misfits are the values materialized: that runs
-    constructors and interns proxies, so it stays a pass of its own.
+    Only when there are no misfits are the walked values materialized: that
+    runs constructors and interns proxies, so it stays a pass of its own.
     """
-    values, misfits = [], []
+    values, misfits, walked = [], [], []
     for i, (obj, t) in enumerate(zip(objs, types)):
+        if type(t) is Prim and (row := _ROWS.get(t)) is not None:
+            x = _read(obj, row)
+            if x is not _DECLINED:
+                values.append(x)
+                continue
         root, out = path.format(i), []
+        walked.append(i)
         values.append(_parse_value(obj, root, t, env, out))
         if out:
             misfits.append((i, ["$" + m[len(root) :] for m in out]))
     if not misfits:
-        values = [materialize(v) for v in values]
+        for i in walked:
+            values[i] = materialize(values[i])
     return values, misfits
 
 
 def send_call(method: str, params, args, marshal_at: Callable[[int], Marshal]) -> str:
-    """Call envelope text; ``marshal_at(i)`` marshals argument ``i``."""
-    texts = [_encode(a, t, marshal_at(i)) for i, (a, t) in enumerate(zip(args, params))]
+    """Call envelope text. A row writes each argument it takes, and
+    ``marshal_at(i)`` marshals an argument ``i`` that its row declines."""
+    texts = [
+        _write(a, t) or _encode(a, t, marshal_at(i)) for i, (a, t) in enumerate(zip(args, params))
+    ]
     return '{"method":' + encode_basestring(method) + ',"args":[' + ",".join(texts) + "]}"
 
 
 def send_result(x, t: TypeRef, marshal: Marshal) -> str:
-    """Reply envelope text for a result."""
-    return '{"result":' + _encode(x, t, marshal) + "}"
+    """Reply envelope text for a result: its row writes it, or ``marshal``
+    answers it where the row declines."""
+    return '{"result":' + (_write(x, t) or _encode(x, t, marshal)) + "}"
 
 
 def _read_list(text: str, start: int, end: int, t: ListOf) -> list | None:
@@ -475,8 +583,8 @@ def _read_list(text: str, start: int, end: int, t: ListOf) -> list | None:
     closing ``]}`` at ``end``; None where that text is not the canonical
     text of a list of ``t``, or a payload does not fit.
 
-    ``_fits`` decides the payloads, as it does for ``_encode``: a JSON
-    integer in a list of f64, which ``_encode`` never writes, is declined.
+    ``_fits`` decides the payloads, as it does for ``_write``: a JSON
+    integer in a list of f64, which ``_write`` never writes, is declined.
 
     Each separator between elements becomes a comma, and one parse reads
     the payloads as a bare array. Numbers and bools hold no quote, comma or
@@ -488,8 +596,8 @@ def _read_list(text: str, start: int, end: int, t: ListOf) -> list | None:
     start += len(_LIST_HEAD)
     if start == end:
         return []
-    row = _SCALAR[t.elem]
-    head = row[3]
+    row = _ROWS[t.elem]
+    head = row.head
     if not (text.startswith(head, start, end) and text[end - 1] == "}"):
         return None
     sep = "}," + head
@@ -503,13 +611,6 @@ def _read_list(text: str, start: int, end: int, t: ListOf) -> list | None:
     except (ValueError, RecursionError):
         pass
     return None
-
-
-def readable(t: TypeRef) -> bool:
-    """Whether values of ``t`` take the text path: a list of i64, f64 or
-    bool, which ``_encode`` writes and ``read_call`` and ``read_reply``
-    read."""
-    return type(t) is ListOf and t.elem in _SCALAR
 
 
 def read_call(body: bytes, sig_of: Callable[[str], Any]) -> tuple[str, Any, list] | None:

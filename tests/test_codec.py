@@ -6,7 +6,8 @@ Node.marshal_outbound and wire._value_obj. For seeded random types,
 well-typed values and mutated ones, both paths must give equal results,
 byte-identical text and the same faults with the same messages.
 Well-typed values of a ``readable`` type must be written by the text
-path, so a silent fallback cannot hide a slow codec. Every other position
+path, so a silent fallback cannot hide a slow codec. The scalar rows of
+``wire._ROWS`` are held to the V* path the same way. Every other position
 takes the V* path both ways, so the pinned tables here, not the
 comparison, hold its bytes and faults in place.
 """
@@ -198,9 +199,8 @@ def _refuse(value, declared):
 
 
 def _value_path_only(m):
-    """Patch the text path out, so that every position takes the V* path:
-    ``_encode`` hands the whole position to marshal, and the text readers
-    decline."""
+    """Patch the text path out, so that every list position takes the V*
+    path: ``_write`` declines it, and the text readers decline."""
     m.setattr(codec, "readable", lambda t: False)
 
 
@@ -1272,3 +1272,233 @@ def test_integer_f64_payloads_are_declined_to_the_parsed_path(world, monkeypatch
         got = outcome(lambda: proxy.take([]))
         assert got[:1] == expected[:1], payloads
         assert same(got[1], expected[1]) if got[0] == "ok" else got == expected, payloads
+
+
+_PRIMS = [Prim.NULL, Prim.BOOL, Prim.I64, Prim.F64, Prim.STR]
+# A value of each Prim that every row takes
+_CANONICAL = {Prim.NULL: None, Prim.BOOL: True, Prim.I64: 7, Prim.F64: 2.5, Prim.STR: "é"}
+# (type, value text) a reader of the parsed payload could get wrong
+_ROW_INBOUND = [
+    (Prim.I64, '{"t":"i64","v":9223372036854775807}'),
+    (Prim.I64, '{"t":"i64","v":-9223372036854775808}'),
+    (Prim.I64, '{"t":"i64","v":-9223372036854775809}'),
+    (Prim.I64, '{"t":"i64","v":false}'),
+    (Prim.I64, '{"t":"i64","v":1.0}'),
+    (Prim.I64, '{"t":"i64","v":null}'),
+    (Prim.I64, '{"t":"i64","v":"7"}'),
+    (Prim.I64, '{"t":"i64","v":1,"v":2}'),
+    (Prim.I64, '{"t":"i64","v":1,"v":true}'),
+    (Prim.I64, '{"t":"i64","v":1,"t":"f64"}'),
+    (Prim.I64, '{"v":1,"t":"i64"}'),
+    (Prim.I64, '{ "t" : "i64" , "v" : 1 }'),
+    (Prim.I64, '{"t":"i64","x":1}'),
+    (Prim.I64, '{"t":["i64"],"v":1}'),
+    (Prim.I64, "7"),
+    (Prim.I64, "[]"),
+    (Prim.F64, '{"t":"f64","v":-0.0}'),
+    (Prim.F64, '{"t":"f64","v":-0}'),
+    (Prim.F64, '{"t":"f64","v":3}'),
+    (Prim.F64, '{"t":"f64","v":9223372036854775808}'),
+    (Prim.F64, '{"t":"f64","v":1' + "0" * 400 + "}"),
+    (Prim.F64, '{"t":"f64","v":1e400}'),
+    (Prim.F64, '{"t":"f64","v":-1e400}'),
+    (Prim.F64, '{"t":"f64","v":NaN}'),
+    (Prim.F64, '{"t":"f64","v":true}'),
+    (Prim.F64, '{"t":"f64","v":"2.5"}'),
+    (Prim.BOOL, '{"t":"bool","v":false}'),
+    (Prim.BOOL, '{"t":"bool","v":1}'),
+    (Prim.BOOL, '{"t":"bool","v":null}'),
+    (Prim.STR, r'{"t":"str","v":"\udc80\ud800"}'),
+    (Prim.STR, r'{"t":"str","v":"💡"}'),
+    (Prim.STR, '{"t":"str","v":"é☃💡 "}'),
+    (Prim.STR, '{"t":"str","v":""}'),
+    (Prim.STR, '{"t":"str","v":5}'),
+    (Prim.STR, '{"t":"str","v":null}'),
+    (Prim.STR, '"a"'),
+    (Prim.NULL, '{"t":"null","t":"null"}'),
+    (Prim.NULL, '{"t":"null","x":1}'),
+    (Prim.NULL, '{"t":"NULL"}'),
+    (Prim.NULL, "null"),
+    (Prim.NULL, "{}"),
+]
+# (type, Python value) a writer of one value could get wrong
+_ROW_OUTBOUND = [
+    (Prim.I64, I64_MAX + 1),
+    (Prim.I64, I64_MIN - 1),
+    (Prim.I64, True),
+    (Prim.I64, Level.LOW),
+    (Prim.I64, VInt(3)),
+    (Prim.I64, 7.0),
+    (Prim.F64, -0.0),
+    (Prim.F64, math.inf),
+    (Prim.F64, 3),
+    (Prim.F64, VFloat(2.5)),
+    (Prim.BOOL, 1),
+    (Prim.BOOL, VBool(False)),
+    (Prim.STR, "é☃💡 "),
+    (Prim.STR, "a\udc80b"),
+    (Prim.STR, VStr("v")),
+    (Prim.STR, b"x"),
+    (Prim.NULL, NULL),
+    (Prim.NULL, 0),
+]
+
+
+class Mirror:
+    """Records each argument, and returns ``result``, or the argument while
+    ``result`` is ``Mirror.ECHO``."""
+
+    ECHO = object()
+
+    def __init__(self):
+        self.received = []
+        self.result = Mirror.ECHO
+
+    def take(self, x):
+        self.received.append(x)
+        return x if self.result is Mirror.ECHO else self.result
+
+
+def test_scalar_rows_match_the_value_path(world, monkeypatch):
+    """Scalar and null arguments and results give the same reply text, the
+    same received values, the same call text and the same client outcome
+    whether the rows of wire._ROWS read and write them or, with the table
+    emptied, the V* path does: the pinned scalar tables, every reply of
+    _REPLY_OUTCOMES, the edge cases above and seeded values and mutants."""
+    node, _, _ = world
+    rng = random.Random(20261022)
+    seen = Counter()
+    deployed = {}
+    for t in _PRIMS:
+        iface = InterfaceDescriptor(f"IRow_{t.value}", [MethodSig("take", (t,), t)])
+        node.register_interface(iface)
+        mirror = Mirror()
+        handle = ComponentHandle(mirror, ClassDescriptor(f"Row_{t.value}", methods=iface.methods))
+        node.deploy(iface, handle, f"row_{t.value}")
+        deployed[t] = mirror, node.proxy_for_ior(node.deploy_anonymous(iface, handle))
+
+    def serve(t, body: bytes, result, rows: bool):
+        mirror, _ = deployed[t]
+        mirror.received.clear()
+        mirror.result = result
+        with monkeypatch.context() as m:
+            if not rows:
+                m.setattr(codec, "_ROWS", {})
+            _, text = node.handle_request("POST", f"/row_{t.value}", "", body)
+        return text, list(mirror.received)
+
+    def ask(t, x, reply: bytes, rows: bool):
+        _, proxy = deployed[t]
+        sent = []
+
+        def post_call(host, port, path, call, timeout):
+            sent.append(call)
+            return reply
+
+        with monkeypatch.context() as m:
+            m.setattr(refbus.client, "post_call", post_call)
+            if not rows:
+                m.setattr(codec, "_ROWS", {})
+            return sent, outcome(lambda: proxy.take(x))
+
+    marshal = functools.partial(
+        node.marshal_outbound, iface_name="IPerson", method_name="take", position=RETURN
+    )
+
+    def same_outcome(a, b) -> bool:
+        return a[:1] == b[:1] and (same(a[1], b[1]) if a[0] == "ok" else a == b)
+
+    def canonical(t) -> str:
+        return codec.send_result(_CANONICAL[t], t, _refuse)[len('{"result":') : -1]
+
+    def check_reply(t, reply: str):
+        (_, on), (_, off) = (ask(t, _CANONICAL[t], reply.encode(), rows) for rows in (True, False))
+        assert same_outcome(on, off), reply
+        return on
+
+    def check_inbound(t, value: str):
+        """``value`` as the argument of a call, and as the result of a reply."""
+        body = _call_text(value).encode()
+        (on_text, on_got), (off_text, off_got) = (
+            serve(t, body, Mirror.ECHO, rows) for rows in (True, False)
+        )
+        assert on_text == off_text, value
+        assert len(on_got) == len(off_got) and all(map(same, on_got, off_got)), value
+        on = check_reply(t, _reply_text(value))
+        try:
+            took = codec._read(json.loads(value), codec._ROWS[t]) is not codec._DECLINED
+        except ValueError:  # not JSON
+            took = False
+        seen[f"read {'row' if took else 'declined'} {on[0]}"] += 1
+
+    def check_outbound(t, x):
+        """``x`` as a component's result, and as a caller's argument."""
+        body = _call_text(canonical(t)).encode()
+        assert serve(t, body, x, True) == serve(t, body, x, False), (t, x)
+        reply = _reply_text(canonical(t)).encode()
+        (on_sent, on), (off_sent, off) = (ask(t, x, reply, rows) for rows in (True, False))
+        assert on_sent == off_sent and same_outcome(on, off), (t, x)
+        took = codec._write(x, t) is not None
+        seen[f"write {'row' if took else 'declined'} {on[0]}"] += 1
+
+    for t, value, _ in _SCALAR_INBOUND:
+        check_inbound(t, value)
+    for x, t, _ in _OUTBOUND:
+        if type(t) is Prim:
+            check_outbound(t, x)
+    for t in _PRIMS:
+        for reply, _ in _REPLY_OUTCOMES:
+            check_reply(t, reply)
+    for t, value in _ROW_INBOUND:
+        check_inbound(t, value)
+    for t, x in _ROW_OUTBOUND:
+        check_outbound(t, x)
+    for n in range(300):
+        t = _PRIMS[n % len(_PRIMS)]
+        x = rand_python(rng, t, [], bad=0.3)
+        check_outbound(t, x)
+        x = rand_python(rng, t, [])
+        value = codec.send_result(x, t, _refuse)[len('{"result":') : -1]
+        assert _reply_text(value) == encode_reply(ReplyEnvelope.ok(marshal(x, t)))
+        check_inbound(t, value)
+        check_inbound(t, json.dumps(mutate_json(rng, json.loads(value))))
+
+    # the rows take only what the V* path accepts, and read all of it: only
+    # a V* value or a scalar subclass is declined and still accepted. Every
+    # other outcome occurs often enough for the comparison to mean something.
+    assert seen["read row raised"] == seen["write row raised"] == seen["read declined ok"] == 0
+    assert seen["read row ok"] > 300 and seen["read declined raised"] > 300, seen
+    assert seen["write row ok"] > 200 and seen["write declined raised"] > 50, seen
+    assert seen["write declined ok"] > 10, seen
+
+
+def test_scalar_calls_build_no_values(make_node, value_counts, monkeypatch):
+    """A call whose argument and result are scalars or null makes no
+    value object, and marshals and materializes nothing, on either end."""
+    node = make_node(demo=False)
+    calls = Counter()
+    marshal_outbound, materialize = node.marshal_outbound, refbus.client.materialize
+
+    def counted_marshal(*args, **kwargs):
+        calls["marshal"] += 1
+        return marshal_outbound(*args, **kwargs)
+
+    def counted_materialize(*args):
+        calls["materialize"] += 1
+        return materialize(*args)
+
+    monkeypatch.setattr(node, "marshal_outbound", counted_marshal)
+    monkeypatch.setattr(refbus.client, "materialize", counted_materialize)
+    proxies = {}
+    for t in _PRIMS:
+        iface = InterfaceDescriptor(f"IScalar_{t.value}", [MethodSig("take", (t,), t)])
+        node.register_interface(iface)
+        mirror = Mirror()
+        handle = ComponentHandle(mirror, ClassDescriptor(f"Scalar_{t.value}", methods=iface.methods))
+        proxies[t] = proxy = node.proxy_for_ior(node.deploy_anonymous(iface, handle))
+        assert same(proxy.take(_CANONICAL[t]), _CANONICAL[t])
+        assert len(mirror.received) == 1 and same(mirror.received[0], _CANONICAL[t])
+    assert value_counts == {} and calls == {}
+    # an IntEnum takes the V* path out, so the counters do count
+    assert same(proxies[Prim.I64].take(Level.LOW), 1)
+    assert value_counts["VInt"] > 0 and calls["marshal"] > 0

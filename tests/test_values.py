@@ -83,6 +83,17 @@ def test_record_refuses_a_field_that_is_not_a_value(fields):
 
 
 @pytest.mark.parametrize(
+    "items, index", [([5], 0), ((VInt(1), None), 1), (iter([VInt(1), VStr("a"), "b"]), 2)]
+)
+def test_list_refuses_an_item_that_is_not_a_value(items, index):
+    """A list holding a Python object would reach type_check and the
+    encoder as a TypeError; it is refused where it is built, as a record
+    field is."""
+    with pytest.raises(ValueError, match=f"^item {index} of a list is not a value: "):
+        VList(items)
+
+
+@pytest.mark.parametrize(
     "make",
     [
         lambda: MethodSig(""),
