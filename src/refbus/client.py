@@ -39,15 +39,7 @@ from .errors import (
 from .interfaces import RESOLVE_METHOD, SNAPSHOT_METHOD, InterfaceDescriptor
 from .policy import CallOverride, ParamPos
 from .registry import validate_name
-from .values import (
-    SCALAR_TAG_BY_CLASS,
-    Record,
-    Value,
-    VList,
-    VNull,
-    VRecord,
-    VRef,
-)
+from .values import Record, Value, VList, VNull, VRecord, VRef
 from .wire import CallEnvelope, decode_reply, encode_call
 from .wire import type_check  # unused here; bench/tracer.py patches refbus.client.type_check
 from .wire import loads, read_reply, receive, reply_shape, send_call
@@ -247,8 +239,6 @@ def materialize(node, v: Value):
     """
     if isinstance(v, VNull):
         return None
-    if type(v) in SCALAR_TAG_BY_CLASS:
-        return v.value
     if isinstance(v, VList):
         return [materialize(node, item) for item in v.items]
     if isinstance(v, VRecord):
@@ -267,7 +257,7 @@ def materialize(node, v: Value):
                 )
             return dep.component.instance
         return node.proxy_for_ior(ior)
-    raise TypeMismatchError(f"cannot materialize {type(v).__name__}")
+    return v.value
 
 
 def get_component_by_name(node, name, host, port, timeout: float = DEFAULT_TIMEOUT) -> Proxy:
@@ -275,9 +265,14 @@ def get_component_by_name(node, name, host, port, timeout: float = DEFAULT_TIMEO
 
     Fetches the deployment's descriptor document, then asks the named
     endpoint to resolve itself into a remote reference; ``timeout`` bounds
-    both requests together.
+    both requests together. A host or port no request can reach is refused
+    before any request: ``getaddrinfo`` would read port 70000 as 4464.
     """
     validate_name(name)
+    if not isinstance(host, str) or isinstance(port, bool) or not isinstance(port, int):
+        raise TypeError(f"host must be a str and port an int, got {host!r}, {port!r}")
+    if not host or not 1 <= port <= 65535:
+        raise ValueError(f"host must be non-empty and port in 1-65535, got {host!r}, {port!r}")
     _check_timeout(timeout)
     deadline = time.monotonic() + timeout
     doc = loads(http_get(host, port, f"/{name}?wsdl", timeout))

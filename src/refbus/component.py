@@ -14,8 +14,8 @@ import threading
 from .errors import InternalFaultError, TypeMismatchError, UnknownMethodError
 from .interfaces import ClassDescriptor
 from .values import NULL, InterfaceType, RecordType, TypeEnvironment, TypeRef, Value, VRecord
-from .values import to_value, typeref_name
-from .wire import type_check
+from .values import typeref_name
+from .wire import to_value, type_check
 
 
 class ComponentHandle:

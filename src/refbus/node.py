@@ -69,11 +69,10 @@ from .values import (
     TypeRef,
     Value,
     VRef,
-    to_value,
     typeref_name,
 )
 from .wire import ReplyEnvelope, encode_reply
-from .wire import call_shape, loads, parse_args, read_call, receive, send_result, type_check
+from .wire import call_shape, loads, parse_args, read_call, receive, send_result, to_value, type_check
 from .wire import decode_call  # unused here; bench/tracer.py patches refbus.node.decode_call
 
 # Seconds a connection may send nothing before the node closes it and its
@@ -290,7 +289,7 @@ class Node:
         (just-in-time deploying local components), BY_VALUE sends a state
         record (a proxy's comes from ``client.snapshot``, bounded by the
         ``time.monotonic()`` ``deadline``).
-        Everything else always passes by value; ``values.to_value``
+        Everything else always passes by value; ``wire.to_value``
         converts scalars and lists, and each list element takes the same
         position.
         """

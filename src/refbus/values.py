@@ -6,7 +6,9 @@ positions; InterfaceType is the only component-shaped TypeRef, so a
 reference can only ever be typed as an interface. All types here are
 immutable after construction and safe to share across threads. Two values
 are ``==`` exactly when they encode to the same wire text; floats compare
-bit-exactly, so 0.0 and -0.0 differ.
+bit-exactly, so 0.0 and -0.0 differ. Which value class holds each Prim,
+and ``to_value``, which turns Python data into values, live in
+``refbus.wire``, beside its table of scalar rows.
 """
 
 from __future__ import annotations
@@ -14,9 +16,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Union
-
-from .errors import TypeMismatchError
+from typing import TYPE_CHECKING, Iterable, Union
 
 if TYPE_CHECKING:
     from .interfaces import ClassDescriptor, InterfaceDescriptor
@@ -255,51 +255,6 @@ class InterfaceType(Record):
 
 
 TypeRef = Union[Prim, ListOf, RecordType, InterfaceType]
-
-# Each scalar kind once: its Prim (whose value is its wire tag), value class
-# and Python type. The value class's constructor decides what fits; it raises
-# ValueError. A Python int is no f64, but VFloat takes a JSON integer.
-SCALARS = (
-    (Prim.BOOL, VBool, bool),
-    (Prim.I64, VInt, int),
-    (Prim.F64, VFloat, float),
-    (Prim.STR, VStr, str),
-)
-SCALAR_CLASS_BY_TAG = {prim.value: cls for prim, cls, _ in SCALARS}
-SCALAR_TAG_BY_CLASS = {cls: prim.value for prim, cls, _ in SCALARS}
-_SCALAR_BY_PY_TYPE = {py_type: (prim, cls) for prim, cls, py_type in SCALARS}
-
-
-def to_value(x, t: TypeRef, leaf: Callable[[Any, TypeRef], Value]) -> Value:
-    """The Value of a Python datum at declared type ``t``.
-
-    Scalars convert to their value class and lists and tuples element-wise;
-    ``leaf(x, t)`` answers every other datum, None included. A scalar or
-    list that does not fit ``t``, or a scalar its value class refuses,
-    raises TypeMismatchError. A scalar subclass (an IntEnum, say) falls
-    back to isinstance; bool precedes int.
-    """
-    if x is None:
-        return leaf(x, t)
-    row = _SCALAR_BY_PY_TYPE.get(type(x))
-    if row is None:
-        for prim, cls, py_type in SCALARS:
-            if isinstance(x, py_type):
-                row = prim, cls
-                break
-        else:
-            if not isinstance(x, (list, tuple)):
-                return leaf(x, t)
-            if not isinstance(t, ListOf):
-                raise TypeMismatchError(f"list does not fit {typeref_name(t)}")
-            return VList([to_value(item, t.elem, leaf) for item in x])
-    if t is not row[0]:
-        raise TypeMismatchError(f"{type(x).__name__} does not fit {typeref_name(t)}")
-    try:
-        return row[1](x)
-    except ValueError as exc:
-        raise TypeMismatchError(str(exc)) from None
-
 
 def typeref_name(t: TypeRef) -> str:
     if isinstance(t, Prim):

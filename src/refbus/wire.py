@@ -9,8 +9,9 @@ signal BAD_ENVELOPE.
 
 A value takes one of three paths each way, and one table, ``_ROWS``,
 decides which. It holds one row per Prim: the exact Python type of its
-values, its value class's rule, the writer of its payload and the reader
-of a parsed payload.
+values, its value class and that class's rule, the writer of its payload
+and the reader of a parsed payload. The V* path's scalar lookups, by tag,
+by value class and by Python type, are built from the same table.
 
 A scalar or null position takes its row. Outbound, ``_write`` writes a
 value of exactly the row's Python type, within its rule, as ``_dumps``
@@ -28,8 +29,9 @@ bare array, and build no element object. Anything else they decline,
 before parsing or after, where a payload does not fit.
 
 Everything a row or the text path declines, and every other position,
-takes the V* path. Outbound, ``marshal`` answers the position whole, and
-``_value_obj`` writes its ``values.Value`` with the same bytes. Inbound,
+takes the V* path. Outbound, ``marshal`` answers the position whole
+(``to_value`` turns scalars and lists into their ``values.Value``), and
+``_value_obj`` writes its value with the same bytes. Inbound,
 one walk of ``_parse_value`` in ``receive`` parses the position into a
 ``values.Value`` and checks it against the declared type, and once every
 position fits, the caller's ``materialize`` turns each into a Python
@@ -47,14 +49,12 @@ from json.decoder import scanstring
 from json.encoder import c_make_encoder, encode_basestring
 from typing import Any, Callable, Iterable
 
-from .errors import BadEnvelopeError, FaultCode
+from .errors import BadEnvelopeError, FaultCode, TypeMismatchError
 from .interfaces import check_compat
 from .values import (
     I64_MAX,
     I64_MIN,
     NULL,
-    SCALAR_CLASS_BY_TAG,
-    SCALAR_TAG_BY_CLASS,
     InterfaceType,
     Ior,
     ListOf,
@@ -64,10 +64,14 @@ from .values import (
     TypeEnvironment,
     TypeRef,
     Value,
+    VBool,
+    VFloat,
+    VInt,
     VList,
     VNull,
     VRecord,
     VRef,
+    VStr,
     is_text,
     typeref_name,
 )
@@ -130,9 +134,9 @@ def _dumps(obj: Any) -> str:
 
 
 def _value_obj(v: Value) -> dict:
-    tag = SCALAR_TAG_BY_CLASS.get(type(v))
-    if tag is not None:
-        return {"t": tag, "v": v.value}
+    row = _ROW_BY_CLASS.get(type(v))
+    if row is not None:
+        return {"t": row.tag, "v": v.value}
     if isinstance(v, VNull):
         return {"t": "null"}
     if isinstance(v, VList):
@@ -218,7 +222,6 @@ def _require_keys(obj: dict, keys: set[str], what: str, path: str):
 _TAGS_AT = {
     ListOf: ("list",), RecordType: ("null", "rec"), InterfaceType: ("null", "rec", "ref")
 }
-_PRIM_BY_TAG = {prim.value: prim for prim in Prim}
 
 
 def _declared_fields(type_name: str, count: int, t: TypeRef, env: TypeEnvironment, path, out):
@@ -271,14 +274,14 @@ def _parse_value(
     tag = obj.get("t")
     if not isinstance(tag, str):  # a JSON list or object tag is unhashable
         raise BadEnvelopeError(f"{path}: unknown value tag {tag!r}")
-    if t is not None and t is not _PRIM_BY_TAG.get(tag) and tag not in _TAGS_AT.get(type(t), ()):
+    row = _ROW_BY_TAG.get(tag)
+    if t is not None and (row is None or t is not row.prim) and tag not in _TAGS_AT.get(type(t), ()):
         out.append(f"{path}: expected {typeref_name(t)}, got {tag}")
         t = None
-    scalar = SCALAR_CLASS_BY_TAG.get(tag)
     try:
-        if scalar is not None:
+        if row is not None and row.cls is not None:
             _require_keys(obj, {"t", "v"}, f"{tag} value", path)
-            return scalar(obj["v"])
+            return row.cls(obj["v"])
         if tag == "ref":
             _require_keys(obj, {"t", "v"}, "reference value", path)
             ref = obj["v"]
@@ -409,17 +412,18 @@ Marshal = Callable[[Any, TypeRef], Value]
 
 
 class _Row:
-    """How the values of one Prim skip the value objects, both ways."""
+    """One Prim: how its values skip the value objects, both ways, and its
+    value class on the V* path."""
 
-    __slots__ = ("prim", "tag", "keys", "head", "py_type", "rule", "write", "read", "bulk")
+    __slots__ = ("prim", "tag", "keys", "head", "py_type", "cls", "rule", "write", "read", "bulk")
 
-    def __init__(self, prim: Prim, py_type: type, rule, write, read=None, bulk=None):
+    def __init__(self, prim: Prim, py_type: type, cls, rule, write, read=None, bulk=None):
         self.prim, self.tag = prim, prim.value
         # A null has no payload: its value object has one key, and the text
         # before its payload is all of it but the closing brace.
         self.keys = 1 if prim is Prim.NULL else 2
         self.head = f'{{"t":"{self.tag}"' + ("" if prim is Prim.NULL else ',"v":')
-        self.py_type, self.rule, self.write, self.bulk = py_type, rule, write, bulk
+        self.py_type, self.cls, self.rule, self.write, self.bulk = py_type, cls, rule, write, bulk
         self.read = read or _as_parsed
 
 
@@ -449,7 +453,9 @@ def _anything(_) -> bool:
 # separator, so list<str> stays out. A row holds:
 # - the exact Python type of its values, so a bool is no i64, and an
 #   IntEnum takes the V* path, which writes it as its int;
-# - its value class's rule, over one value of exactly that type;
+# - its value class, none for null, whose constructor decides what fits on
+#   the V* path; a Python int is no f64, but VFloat takes a JSON integer;
+# - that class's rule, over one value of exactly that type;
 # - the writer of a payload, which writes what ``_dumps`` does;
 # - the reader of a parsed payload, which makes the Python value that
 #   ``materialize`` would, or one that the type and rule then decline;
@@ -458,22 +464,58 @@ def _anything(_) -> bool:
 _ROWS = {
     row.prim: row
     for row in (
-        _Row(Prim.NULL, type(None), _anything, lambda x: ""),
+        _Row(Prim.NULL, type(None), None, _anything, lambda x: ""),
         _Row(
-            Prim.BOOL, bool, _anything, {False: "false", True: "true"}.__getitem__,
+            Prim.BOOL, bool, VBool, _anything, {False: "false", True: "true"}.__getitem__,
             bulk=_anything,
         ),
         _Row(
-            Prim.I64, int, lambda x: I64_MIN <= x <= I64_MAX, int.__repr__,
+            Prim.I64, int, VInt, lambda x: I64_MIN <= x <= I64_MAX, int.__repr__,
             bulk=lambda xs: I64_MIN <= min(xs) and max(xs) <= I64_MAX,
         ),
         _Row(
-            Prim.F64, float, math.isfinite, float.__repr__, _as_float,
+            Prim.F64, float, VFloat, math.isfinite, float.__repr__, _as_float,
             bulk=lambda xs: all(map(math.isfinite, xs)),
         ),
-        _Row(Prim.STR, str, is_text, encode_basestring),
+        _Row(Prim.STR, str, VStr, is_text, encode_basestring),
     )
 }
+# The V* path's lookups, built once, so they hold while a test empties _ROWS
+# to turn the rows off. Bool precedes int in _ROWS, as to_value's
+# isinstance fallback needs.
+_ROW_BY_TAG = {row.tag: row for row in _ROWS.values()}
+_ROW_BY_CLASS = {row.cls: row for row in _ROWS.values() if row.cls}
+_ROW_BY_PY_TYPE = {row.py_type: row for row in _ROW_BY_CLASS.values()}
+
+
+def to_value(x, t: TypeRef, leaf: Callable[[Any, TypeRef], Value]) -> Value:
+    """The Value of a Python datum at declared type ``t``.
+
+    Scalars convert to their value class and lists and tuples element-wise;
+    ``leaf(x, t)`` answers every other datum, None included. A scalar or
+    list that does not fit ``t``, or a scalar its value class refuses,
+    raises TypeMismatchError. A scalar subclass (an IntEnum, say) falls
+    back to isinstance; bool precedes int.
+    """
+    if x is None:
+        return leaf(x, t)
+    row = _ROW_BY_PY_TYPE.get(type(x))
+    if row is None:
+        for row in _ROW_BY_PY_TYPE.values():
+            if isinstance(x, row.py_type):
+                break
+        else:
+            if not isinstance(x, (list, tuple)):
+                return leaf(x, t)
+            if not isinstance(t, ListOf):
+                raise TypeMismatchError(f"list does not fit {typeref_name(t)}")
+            return VList([to_value(item, t.elem, leaf) for item in x])
+    if t is not row.prim:
+        raise TypeMismatchError(f"{type(x).__name__} does not fit {typeref_name(t)}")
+    try:
+        return row.cls(x)
+    except ValueError as exc:
+        raise TypeMismatchError(str(exc)) from None
 
 
 # The text every list value starts with

@@ -149,6 +149,18 @@ def test_get_component_by_name_rejects_unreachable_name_before_io(monkeypatch):
     monkeypatch.setattr(refbus.client, "_http_request", no_io)
     with pytest.raises(InvalidNameError):
         Node().get_component_by_name("my comp", "127.0.0.1", 1)
+    # A host or port no request can reach: before, port 70000 reached port
+    # 4464 (getaddrinfo keeps 16 bits), and the others reached the transport.
+    for host, port, error in [
+        ("127.0.0.1", 70000, ValueError), ("127.0.0.1", 2**70, ValueError),
+        ("127.0.0.1", 0, ValueError), ("127.0.0.1", 65536, ValueError),
+        ("127.0.0.1", -1, ValueError), ("", 80, ValueError),
+        ("127.0.0.1", "80", TypeError), ("127.0.0.1", True, TypeError),
+        ("127.0.0.1", 80.0, TypeError), (None, 80, TypeError), (2130706433, 80, TypeError),
+        (b"127.0.0.1", 80, TypeError),
+    ]:
+        with pytest.raises(error):
+            Node().get_component_by_name("bob", host, port)
 
 
 @contextlib.contextmanager

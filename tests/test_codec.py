@@ -58,9 +58,8 @@ from refbus.values import (
     VRecord,
     VRef,
     VStr,
-    to_value,
 )
-from refbus.wire import CallEnvelope, ReplyEnvelope, decode_reply, encode_call, encode_reply
+from refbus.wire import CallEnvelope, ReplyEnvelope, decode_reply, encode_call, encode_reply, to_value
 
 PT = RecordType("Pt")
 IPERSON_T = InterfaceType("IPerson")
@@ -1502,3 +1501,46 @@ def test_scalar_calls_build_no_values(make_node, value_counts, monkeypatch):
     # an IntEnum takes the V* path out, so the counters do count
     assert same(proxies[Prim.I64].take(Level.LOW), 1)
     assert value_counts["VInt"] > 0 and calls["marshal"] > 0
+
+
+def test_rows_are_the_one_table_of_scalar_kinds():
+    """``_ROWS`` holds one row per Prim. A row's value class holds a value
+    of exactly the row's Python type as ``.value`` and refuses what the
+    row's rule refuses, and the V* path's lookups, by tag, by value class
+    and by Python type, agree with the rows."""
+    assert list(codec._ROWS) == list(Prim)
+    held = {
+        Prim.BOOL: [False, True],
+        Prim.I64: [I64_MIN, 0, I64_MAX],
+        Prim.F64: [-0.0, 2.5, 1e308],
+        Prim.STR: ["", "é", "\U0001f600"],
+    }
+    refused = {
+        Prim.I64: [I64_MIN - 1, I64_MAX + 1, 2**70],
+        Prim.F64: [math.inf, -math.inf, math.nan],
+        Prim.STR: ["\ud800", "a\udfff"],
+    }
+    for prim, row in codec._ROWS.items():
+        assert row.prim is prim and row.tag == prim.value
+        assert codec._ROW_BY_TAG[row.tag] is row
+        if prim is Prim.NULL:
+            assert row.cls is None and row.py_type is type(None)
+            assert codec._parse_value({"t": "null"}, "$", prim, None, []) == NULL
+            continue
+        assert codec._ROW_BY_CLASS[row.cls] is row and codec._ROW_BY_PY_TYPE[row.py_type] is row
+        for x in held[prim]:
+            assert row.rule(x)
+            v = row.cls(x)
+            assert type(v.value) is row.py_type and same(v.value, x)
+            assert to_value(x, prim, _refuse) == v
+            assert codec._value_obj(v) == {"t": row.tag, "v": x}
+            out = []
+            assert codec._parse_value({"t": row.tag, "v": x}, "$", prim, None, out) == v
+            assert out == []
+        for x in refused.get(prim, []):
+            assert type(x) is row.py_type and not row.rule(x)
+            with pytest.raises(ValueError):
+                row.cls(x)
+    assert set(codec._ROW_BY_TAG) == {prim.value for prim in Prim}
+    assert set(codec._ROW_BY_CLASS) == {VBool, VInt, VFloat, VStr}
+    assert list(codec._ROW_BY_PY_TYPE) == [bool, int, float, str]  # bool before int
